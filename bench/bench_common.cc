@@ -76,7 +76,7 @@ Flags::Flags(int argc, char** argv) {
     if (arg.rfind("--", 0) != 0) continue;
     const size_t eq = arg.find('=');
     if (eq == std::string::npos)
-      kv_[arg.substr(2)] = "1";
+      kv_[arg.substr(2)] = std::string(1, '1');
     else
       kv_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
   }

@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
   const size_t want_installed = std::min(P.max_rules, P.mask_cap);
 
   const bool gate_goodput = ratio >= 5.0;
-  const bool gate_probe = hardened.probe_p99 <= P.probe_budget();
+  const bool gate_budget = hardened.probe_p99 <= P.probe_budget();
   const bool gate_misdeliver = misdelivered == 0;
   const bool gate_cap = hardened.rules_installed == want_installed &&
                         hardened.rules_rejected == P.max_rules - want_installed;
@@ -374,7 +374,7 @@ int main(int argc, char** argv) {
               ratio, gate_goodput ? "PASS" : "FAIL");
   std::printf("full-defense victim probe p99: %llu  [gate <= %zu: %s]\n",
               static_cast<unsigned long long>(hardened.probe_p99),
-              P.probe_budget(), gate_probe ? "PASS" : "FAIL");
+              P.probe_budget(), gate_budget ? "PASS" : "FAIL");
   std::printf("misdelivered packets across all runs: %llu  [gate == 0: %s]\n",
               static_cast<unsigned long long>(misdelivered),
               gate_misdeliver ? "PASS" : "FAIL");
@@ -394,7 +394,7 @@ int main(int argc, char** argv) {
   report.add("deterministic", deterministic ? 1 : 0);
   report.write();
 
-  const bool pass = gate_goodput && gate_probe && gate_misdeliver &&
+  const bool pass = gate_goodput && gate_budget && gate_misdeliver &&
                     gate_cap && gate_detect && deterministic;
   if (pass) std::printf("PASS: all tuple-explosion gates met\n");
   return pass ? 0 : 1;

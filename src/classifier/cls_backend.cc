@@ -18,15 +18,9 @@ std::unique_ptr<ClassifierBackend> make_classifier_backend(
   // The tenant-partition wrapper composes with any engine: it builds its
   // inner backends through this same factory with the flag cleared.
   if (cfg.tenant_partition) return std::make_unique<TenantPartitionEngine>(cfg);
-  switch (cfg.engine) {
-    case ClassifierEngine::kChainedTuple:
-      return std::make_unique<ChainedTupleEngine>(cfg);
-    case ClassifierEngine::kBloomGated:
-      return std::make_unique<StagedTssEngine>(cfg, /*gated=*/true);
-    case ClassifierEngine::kStagedTss:
-      break;
-  }
-  return std::make_unique<StagedTssEngine>(cfg, /*gated=*/false);
+  if (cfg.engine == ClassifierEngine::kChainedTuple)
+    return std::make_unique<ChainedTupleEngine>(cfg);
+  return std::make_unique<StagedTssEngine>(cfg);
 }
 
 }  // namespace ovs

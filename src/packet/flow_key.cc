@@ -100,7 +100,8 @@ std::string FlowMask::to_string() const {
     if (is_exact(f)) {
       v = "exact";
     } else if (plen >= 0) {
-      v = "/" + std::to_string(plen);
+      v = '/';
+      v += std::to_string(plen);
     } else {
       v = "partial";
     }

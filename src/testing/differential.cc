@@ -65,8 +65,7 @@ std::vector<DiffConfig> standard_configs() {
 
 std::vector<DiffConfig> engine_configs() {
   std::vector<DiffConfig> out;
-  for (ClassifierEngine e :
-       {ClassifierEngine::kChainedTuple, ClassifierEngine::kBloomGated}) {
+  for (ClassifierEngine e : {ClassifierEngine::kChainedTuple}) {
     for (size_t rx : {size_t{1}, size_t{8}}) {
       DiffConfig c;
       c.name = std::string("engine-") + classifier_engine_name(e) +
@@ -89,8 +88,7 @@ std::vector<DiffConfig> engine_configs() {
   // reference: partitioning must be semantics-preserving against the flat
   // oracle no matter which engine runs inside the partitions.
   for (ClassifierEngine e :
-       {ClassifierEngine::kStagedTss, ClassifierEngine::kChainedTuple,
-        ClassifierEngine::kBloomGated}) {
+       {ClassifierEngine::kStagedTss, ClassifierEngine::kChainedTuple}) {
     DiffConfig c;
     c.name = std::string("engine-") + classifier_engine_name(e) +
              "/partitioned";

@@ -47,7 +47,7 @@ struct DiffConfig {
   size_t revalidator_threads = 1;
   // Classifier lookup engine the switch under test runs. The oracle is
   // always pinned to the reference kStagedTss engine, so sweeping this
-  // field checks the alternative engines against the reference through
+  // field checks the alternative engine against the reference through
   // full end-to-end replays, not just classifier-level unit diffs.
   ClassifierEngine engine = ClassifierEngine::kStagedTss;
   // NIC offload tier capacity (DESIGN.md §13); 0 = off. The oracle is
@@ -72,10 +72,10 @@ struct DiffConfig {
 // x {kFull, kTwoTier}, plus one offload-on point per backend.
 std::vector<DiffConfig> standard_configs();
 
-// Non-reference classifier engines (chained-tuple, bloom-gated) crossed
-// with the datapath/batching variants that exercise their distinct lookup
-// paths: batched rx drives lookup_batch through translate_batch, per-pkt
-// drives the scalar path.
+// The non-reference classifier engine (chained-tuple) crossed with the
+// datapath/batching variants that exercise its distinct lookup paths:
+// batched rx drives lookup_batch through translate_batch, per-pkt drives the
+// scalar path. Plus one tenant-partitioned point per engine.
 std::vector<DiffConfig> engine_configs();
 
 // The deliberately unsound configuration: historical kTags revalidation,

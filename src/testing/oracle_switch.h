@@ -106,11 +106,11 @@ class OracleSwitch {
       kCtFlush,
     } kind;
     std::string text;       // kAddFlow / kDelFlows
-    FlowKey key;            // kCtCommit / kCtRemove
+    FlowKey key{};          // kCtCommit / kCtRemove
     uint16_t zone = 0;      // kCtCommit / kCtRemove
     uint64_t t = 0;         // kCtCommit (commit time) / kCtTick (expiry time)
     bool has_nat = false;   // kCtCommit
-    CtNatSpec nat;          // kCtCommit, when has_nat
+    CtNatSpec nat{};        // kCtCommit, when has_nat
   };
 
   void push_ct_mutation(Mutation m);

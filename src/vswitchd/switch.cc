@@ -664,7 +664,7 @@ void Switch::revalidate(uint64_t now_ns) {
     if (pass_ns > static_cast<double>(cfg_.max_revalidation_ns)) {
       ++counters_.reval_overruns;
       apply_limit_backoff();
-    } else if (!mask_explosion_ && !ct_pressure_) {
+    } else if (!mask_explosion_.engaged() && !ct_pressure_.engaged()) {
       // Additive recovery pauses while the tuple-explosion or conntrack
       // pressure detector is engaged: a clean pass under attack only means
       // the shrunken table fits the deadline, not that growing it back is
@@ -816,6 +816,35 @@ void Switch::offload_reconcile() {
   be_->offload_commit();
 }
 
+// EMC thrash (§7.3): insert attempts far outrunning microflow hits — every
+// insert evicts something still useful (or never useful, under a
+// never-repeating adversary). Ratio with +1 so a zero-hit interval is
+// well-defined. Engaging needs emc_min_inserts of signal; release does not,
+// so a quiet interval counts as cool.
+DetectorSignal DegradationConfig::emc_thrash_signal(
+    uint64_t attempts, uint64_t hits) const noexcept {
+  const double ratio =
+      static_cast<double>(attempts) / static_cast<double>(hits + 1);
+  return {attempts >= emc_min_inserts && ratio > emc_thrash_ratio,
+          ratio < emc_thrash_ratio / 2};
+}
+
+// Hot when either enabled trigger fires; cool only once every enabled
+// trigger is below half its threshold — the attack subsiding, not one
+// quiet interval.
+DetectorSignal DegradationConfig::mask_explosion_signal(
+    size_t masks, double probe_ewma) const noexcept {
+  const size_t n = mask_explosion_subtables;
+  const double p = mask_probe_ewma_threshold;
+  return {(n > 0 && masks >= n) || (p > 0.0 && probe_ewma > p),
+          (n == 0 || masks < n / 2) && (p <= 0.0 || probe_ewma < p / 2)};
+}
+
+DetectorSignal DegradationConfig::ct_pressure_signal(
+    double occupancy) const noexcept {
+  return {occupancy >= ct_pressure_ratio, occupancy < ct_pressure_ratio / 2};
+}
+
 void Switch::update_emc_policy() {
   const DegradationConfig& d = cfg_.degradation;
   if (!d.enabled) return;
@@ -825,25 +854,32 @@ void Switch::update_emc_policy() {
   const uint64_t hits = s.microflow_hits - emc_hits_seen_;
   emc_attempts_seen_ = attempts_now;
   emc_hits_seen_ = s.microflow_hits;
-  // Thrash signature (§7.3): the EMC is being rewritten far faster than it
-  // is producing hits — every insert evicts something still useful (or
-  // never useful, under a never-repeating adversary). Ratio with +1 so a
-  // zero-hit interval is well-defined. Engaging needs emc_min_inserts of
-  // signal; disengaging happens at half the engage threshold regardless of
-  // volume (hysteresis: churn subsiding, not churn pausing, re-enables
-  // normal insertion — and a quiet interval counts as subsided).
-  const double ratio =
-      static_cast<double>(attempts) / static_cast<double>(hits + 1);
-  if (!emc_degraded_) {
-    if (attempts >= d.emc_min_inserts && ratio > d.emc_thrash_ratio) {
+  // Churn subsiding, not churn pausing, re-enables normal insertion; while
+  // the thrash holds, insertion simply stays probabilistic.
+  switch (emc_thrash_.update(d.emc_thrash_signal(attempts, hits))) {
+    case HysteresisLatch::Edge::kEngage:
       be_->set_emc_insert_inv_prob(d.emc_degraded_inv_prob);
-      emc_degraded_ = true;
       ++counters_.emc_degrade_engaged;
-    }
-  } else if (ratio < d.emc_thrash_ratio / 2) {
-    be_->set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
-    emc_degraded_ = false;
+      break;
+    case HysteresisLatch::Edge::kRelease:
+      be_->set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
+      break;
+    default:
+      break;
   }
+}
+
+// The mask-explosion and conntrack-pressure detectors share one action:
+// a multiplicative flow-limit backoff on engaging and again every interval
+// the signal stays hot (shedding cached flows sheds the attacker's masks or
+// the churn's per-connection megaflows). Release needs no action: it only
+// lets revalidate()'s additive recovery resume.
+bool Switch::backoff_on(HysteresisLatch& latch, DetectorSignal signal) {
+  const HysteresisLatch::Edge e = latch.update(signal);
+  if (e == HysteresisLatch::Edge::kEngage ||
+      e == HysteresisLatch::Edge::kHold)
+    apply_limit_backoff();
+  return e == HysteresisLatch::Edge::kEngage;
 }
 
 void Switch::update_cls_policy() {
@@ -867,31 +903,9 @@ void Switch::update_cls_policy() {
     probe_ewma_ = d.mask_probe_ewma_alpha * probe +
                   (1.0 - d.mask_probe_ewma_alpha) * probe_ewma_;
   }
-  const size_t masks = be_->mask_count();
-  const bool count_hot = d.mask_explosion_subtables > 0 &&
-                         masks >= d.mask_explosion_subtables;
-  const bool probe_hot = d.mask_probe_ewma_threshold > 0.0 &&
-                         probe_ewma_ > d.mask_probe_ewma_threshold;
-  const bool count_cool = d.mask_explosion_subtables == 0 ||
-                          masks < d.mask_explosion_subtables / 2;
-  const bool probe_cool = d.mask_probe_ewma_threshold <= 0.0 ||
-                          probe_ewma_ < d.mask_probe_ewma_threshold / 2;
-  if (!mask_explosion_) {
-    if (count_hot || probe_hot) {
-      mask_explosion_ = true;
-      ++counters_.mask_explosion_engaged;
-      apply_limit_backoff();
-    }
-  } else if (count_cool && probe_cool) {
-    // Hysteresis: both signals must fall to half their engage thresholds —
-    // the attack subsiding, not one quiet interval — before recovery
-    // resumes (revalidate()'s additive increase takes over from here).
-    mask_explosion_ = false;
-  } else if (count_hot || probe_hot) {
-    // Signal persisting at engage level: keep ratcheting the table down
-    // until eviction sheds enough attacker masks to cool the probes.
-    apply_limit_backoff();
-  }
+  if (backoff_on(mask_explosion_,
+                 d.mask_explosion_signal(be_->mask_count(), probe_ewma_)))
+    ++counters_.mask_explosion_engaged;
 }
 
 void Switch::update_ct_policy() {
@@ -901,23 +915,8 @@ void Switch::update_ct_policy() {
   const double occupancy =
       static_cast<double>(pipeline_.conntrack().size()) /
       static_cast<double>(cfg_.ct_max_entries);
-  const bool hot = occupancy >= d.ct_pressure_ratio;
-  const bool cool = occupancy < d.ct_pressure_ratio / 2;
-  if (!ct_pressure_) {
-    if (hot) {
-      ct_pressure_ = true;
-      ++counters_.ct_pressure_engaged;
-      apply_limit_backoff();
-    }
-  } else if (cool) {
-    // Hysteresis: occupancy must fall to half the engage ratio — the churn
-    // subsiding, not one eviction — before additive recovery resumes.
-    ct_pressure_ = false;
-  } else if (hot) {
-    // Pressure persisting at engage level: keep ratcheting the megaflow
-    // table down (per-connection megaflows are the product of ct churn).
-    apply_limit_backoff();
-  }
+  if (backoff_on(ct_pressure_, d.ct_pressure_signal(occupancy)))
+    ++counters_.ct_pressure_engaged;
 }
 
 size_t Switch::cls_subtables() const noexcept {
@@ -982,16 +981,16 @@ void Switch::crash() {
   offload_state_.clear();
   limit_scale_ = 1.0;
   effective_limit_ = cfg_.flow_limit;
-  emc_degraded_ = false;
+  emc_thrash_.reset();
   be_->set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
   const Datapath::Stats s = be_->stats();
   emc_attempts_seen_ = s.emc_inserts + s.emc_insert_skips;
   emc_hits_seen_ = s.microflow_hits;
-  mask_explosion_ = false;
+  mask_explosion_.reset();
   probe_ewma_ = 0.0;
   dp_tuples_seen_ = s.tuples_searched;
   dp_packets_seen_ = s.packets;
-  ct_pressure_ = false;
+  ct_pressure_.reset();
   tenant_masks_.clear();
   tenant_masks_valid_ = false;
   tenant_masks_gen_ = 0;

@@ -64,6 +64,14 @@ enum class RevalidationMode : uint8_t {
 // reconciliation pass and the post-reconciliation invariant gate complete.
 enum class LifecycleState : uint8_t { kServing, kCrashed, kReconciling };
 
+// One interval's reading of a degradation detector signal: `hot` at its
+// engage threshold, `cool` strictly below half of it (the release
+// threshold).
+struct DetectorSignal {
+  bool hot = false;
+  bool cool = false;
+};
+
 // Graceful-degradation policies: how the slow path sheds load instead of
 // collapsing when it is pushed past its envelope (§6, §7.3). Three
 // independent pressure valves:
@@ -126,6 +134,41 @@ struct DegradationConfig {
   // half the ratio — the same hysteresis shape as the mask-explosion
   // detector. Meaningless without a ct_max_entries cap.
   double ct_pressure_ratio = 0.0;
+
+  // One maintenance interval's reading of each detector signal against the
+  // thresholds above, fed to that detector's HysteresisLatch.
+  DetectorSignal emc_thrash_signal(uint64_t attempts,
+                                   uint64_t hits) const noexcept;
+  DetectorSignal mask_explosion_signal(size_t masks,
+                                       double probe_ewma) const noexcept;
+  DetectorSignal ct_pressure_signal(double occupancy) const noexcept;
+};
+
+// Engage/hold/release hysteresis shared by the three degradation detectors
+// (EMC thrash, mask explosion, conntrack pressure). Disengaged, a hot
+// interval engages; engaged, a cool interval releases and a hot one holds.
+// The band between changes nothing, so a detector that engaged on a
+// sustained signal does not flap on one quiet interval.
+class HysteresisLatch {
+ public:
+  enum class Edge : uint8_t { kNone, kEngage, kHold, kRelease };
+
+  Edge update(DetectorSignal s) noexcept {
+    if (!engaged_) {
+      engaged_ = s.hot;
+      return s.hot ? Edge::kEngage : Edge::kNone;
+    }
+    if (s.cool) {
+      engaged_ = false;
+      return Edge::kRelease;
+    }
+    return s.hot ? Edge::kHold : Edge::kNone;
+  }
+  bool engaged() const noexcept { return engaged_; }
+  void reset() noexcept { engaged_ = false; }
+
+ private:
+  bool engaged_ = false;
 };
 
 class FaultInjector;
@@ -470,12 +513,14 @@ class Switch {
   // AIMD multiplier on the dynamic flow limit (1.0 = no backoff active).
   double flow_limit_scale() const noexcept { return limit_scale_; }
   // True while the EMC thrash detector holds probabilistic insertion on.
-  bool emc_degraded() const noexcept { return emc_degraded_; }
+  bool emc_degraded() const noexcept { return emc_thrash_.engaged(); }
   // True while the tuple-explosion detector holds the AIMD backoff engaged
   // (recovery suspended; one backoff per interval the signal persists).
-  bool mask_explosion_active() const noexcept { return mask_explosion_; }
+  bool mask_explosion_active() const noexcept {
+    return mask_explosion_.engaged();
+  }
   // True while the conntrack pressure detector holds the backoff engaged.
-  bool ct_pressure_active() const noexcept { return ct_pressure_; }
+  bool ct_pressure_active() const noexcept { return ct_pressure_.engaged(); }
   // Userspace classifier shape (DESIGN.md §14): subtables maintained summed
   // across tables, and the per-lookup probe bound of the worst table.
   size_t cls_subtables() const noexcept;
@@ -510,6 +555,9 @@ class Switch {
   size_t process_retries(uint64_t now_ns);
   void maybe_inject_entry_faults();
   void apply_limit_backoff();
+  // Feeds `signal` to `latch` and backs the flow limit off on engage and
+  // hold; true when this interval engaged.
+  bool backoff_on(HysteresisLatch& latch, DetectorSignal signal);
   void update_emc_policy();
   // Admission control (DESIGN.md §14): charges the add to the ledger and
   // answers whether it may proceed; refresh rebuilds the per-tenant mask
@@ -596,15 +644,12 @@ class Switch {
   // Entry faults bypass the pipeline generation, so the next revalidation
   // must re-translate everything to repair them.
   bool reval_force_full_ = false;
-  bool emc_degraded_ = false;
+  // Degradation detectors, one latch per signal.
+  HysteresisLatch emc_thrash_;
+  HysteresisLatch mask_explosion_;  // DESIGN.md §14
+  HysteresisLatch ct_pressure_;     // DESIGN.md §15
   uint64_t emc_attempts_seen_ = 0;  // insert attempts at last policy check
   uint64_t emc_hits_seen_ = 0;      // microflow hits at last policy check
-
-  // Conntrack pressure detector state (DESIGN.md §15).
-  bool ct_pressure_ = false;
-
-  // Tuple-explosion detector state (DESIGN.md §14).
-  bool mask_explosion_ = false;
   double probe_ewma_ = 0.0;         // smoothed megaflow probes per packet
   uint64_t dp_tuples_seen_ = 0;     // tuples_searched at last policy check
   uint64_t dp_packets_seen_ = 0;    // packets at last policy check

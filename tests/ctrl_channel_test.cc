@@ -64,7 +64,9 @@ TEST(CtrlTransport, DeliversInOrderAfterLatency) {
     got.push_back(m.flow_mod.spec);
   });
   for (int i = 0; i < 3; ++i) {
-    CtrlMsg m = data_msg("m" + std::to_string(i));
+    std::string spec = "m";
+    spec += std::to_string(i);
+    CtrlMsg m = data_msg(spec);
     m.src = 1;
     m.dst = 2;
     net.send(std::move(m), 0);

@@ -122,6 +122,11 @@ struct StageCase {
   Stage expected_stage;
 };
 
+// Without this, gtest prints the raw bytes of StageCase (a load-address
+// dependent pointer plus padding) into the test names, so they change from
+// one run to the next.
+void PrintTo(const StageCase& sc, std::ostream* os) { *os << sc.name; }
+
 class StageBoundaryTest : public ::testing::TestWithParam<StageCase> {};
 
 TEST_P(StageBoundaryTest, MissTerminatesAtFieldStage) {
