@@ -200,7 +200,7 @@ Datapath::RxResult Datapath::receive(const Packet& pkt, uint64_t now_ns) {
 //      have been hit by each follower), a missing leader makes each follower
 //      its own upcall (nothing was installed in between);
 //   5. per-megaflow statistics are bumped once per matched entry with the
-//      group's packet/byte totals.
+//      group's packet/byte totals, tallied per leader during step 2.
 void Datapath::process_chunk(const Packet* pkts, size_t n, uint64_t now_ns,
                              RxResult* results, BatchSummary& summary) {
   uint64_t hashes[kMaxBatch];
@@ -208,6 +208,8 @@ void Datapath::process_chunk(const Packet* pkts, size_t n, uint64_t now_ns,
   MegaflowEntry* entry[kMaxBatch];    // leader slots: matched megaflow
   const OffloadTable::Entry* offl[kMaxBatch];  // leader slots: NIC slot hit
   uint16_t leaders[kMaxBatch];        // indices of unique microflow leaders
+  uint32_t tally_pkts[kMaxBatch];     // leader slots: packets in the group
+  uint64_t tally_bytes[kMaxBatch];    // leader slots: bytes in the group
   size_t n_leaders = 0;
 
   stats_.packets += n;
@@ -227,7 +229,13 @@ void Datapath::process_chunk(const Packet* pkts, size_t n, uint64_t now_ns,
         break;
       }
     }
-    if (leader[i] == i) leaders[n_leaders++] = static_cast<uint16_t>(i);
+    if (leader[i] == i) {
+      leaders[n_leaders++] = static_cast<uint16_t>(i);
+      tally_pkts[i] = 0;
+      tally_bytes[i] = 0;
+    }
+    ++tally_pkts[leader[i]];
+    tally_bytes[leader[i]] += pkts[i].size_bytes;
   }
 
   // Leaders probe the caches; followers resolve against their leader (whose
@@ -312,35 +320,24 @@ void Datapath::process_chunk(const Packet* pkts, size_t n, uint64_t now_ns,
   }
 
   // Group statistics: one packets/bytes/used update per matched megaflow.
-  // Distinct microflows may share a megaflow, so accumulate over leaders
-  // first (the leader list is small; quadratic dedup over it is cheap).
-  for (size_t l = 0; l < n_leaders; ++l) {
-    MegaflowEntry* e = entry[leaders[l]];
-    if (e == nullptr) continue;
-    bool first = true;
-    for (size_t m = 0; m < l; ++m) {
-      if (entry[leaders[m]] == e) {
-        first = false;
-        break;
-      }
-    }
-    if (!first) continue;
-    ++summary.groups;
-    uint64_t pkt_count = 0, byte_count = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (entry[leader[i]] == e) {
-        ++pkt_count;
-        byte_count += pkts[i].size_bytes;
-      }
-    }
-    e->packets_ += pkt_count;
-    e->bytes_ += byte_count;
+  // Distinct microflows may share a megaflow, so each leader's tally folds
+  // into the first leader matching the same entry (pointer compares over
+  // the leader list only), which then credits the whole group.
+  const size_t n_heads = fold_leader_tallies(entry, leaders, n_leaders,
+                                             tally_pkts, tally_bytes);
+  summary.groups += static_cast<uint32_t>(n_heads);
+  for (size_t l = 0; l < n_heads; ++l) {
+    const size_t j = leaders[l];
+    MegaflowEntry* e = entry[j];
+    e->packets_ += tally_pkts[j];
+    e->bytes_ += tally_bytes[j];
     e->used_ns_ = now_ns;  // matches receive(): last write wins
     // An offload-absorbed group also credits its NIC slot's counters (one
     // slot per megaflow, so the group's first leader identifies it).
-    if (const OffloadTable::Entry* oe = offl[leaders[l]]) {
-      oe->counters->hits.fetch_add(pkt_count, std::memory_order_relaxed);
-      oe->counters->bytes.fetch_add(byte_count, std::memory_order_relaxed);
+    if (const OffloadTable::Entry* oe = offl[j]) {
+      oe->counters->hits.fetch_add(tally_pkts[j], std::memory_order_relaxed);
+      oe->counters->bytes.fetch_add(tally_bytes[j],
+                                    std::memory_order_relaxed);
     }
   }
 }
@@ -461,7 +458,7 @@ std::vector<Packet> Datapath::take_upcalls(size_t max_batch) {
   const size_t n = std::min(max_batch, upcalls_.size());
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    out.push_back(upcalls_.front());
+    out.push_back(std::move(upcalls_.front()));
     upcalls_.pop_front();
   }
   // Delay-faulted upcalls arrive one handler round late: they become

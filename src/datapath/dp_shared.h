@@ -1,9 +1,9 @@
-// Defaults shared by both datapath backends (the single-threaded `Datapath`
-// and the multi-worker `ShardedDatapath`). Before this header each backend
-// carried its own copy of these constants; keeping one definition means the
-// two backends stay configured identically by default — which the
-// backend-equivalence property tests rely on — and a tuning change cannot
-// silently apply to one backend only.
+// Defaults and burst helpers shared by both datapath backends (the
+// single-threaded `Datapath` and the multi-worker `ShardedDatapath`). Before
+// this header each backend carried its own copy of these constants; keeping
+// one definition means the two backends stay configured identically by
+// default — which the backend-equivalence property tests rely on — and a
+// tuning change cannot silently apply to one backend only.
 #pragma once
 
 #include <cstddef>
@@ -30,3 +30,35 @@ inline constexpr uint32_t kEmcInsertInvProb = 1;
 inline constexpr uint64_t kDpSeed = 0xDA7A;
 
 }  // namespace ovs::dpdefault
+
+namespace ovs {
+
+// Burst statistics, the last step of both backends' process_chunk: folds
+// the per-leader packet/byte tallies of a burst into one tally per matched
+// megaflow. entry[j] is leader j's matched flow (null on a miss). On return
+// leaders[0, result) hold the first leader of each distinct non-null entry,
+// in burst order, each carrying its group's totals; the result is the
+// number of distinct megaflows matched. Cost is linear in the burst plus
+// leaders x distinct megaflows pointer compares.
+template <typename Entry>
+size_t fold_leader_tallies(Entry* const* entry, uint16_t* leaders,
+                           size_t n_leaders, uint32_t* tally_pkts,
+                           uint64_t* tally_bytes) noexcept {
+  size_t n_heads = 0;
+  for (size_t l = 0; l < n_leaders; ++l) {
+    const uint16_t j = leaders[l];
+    Entry* e = entry[j];
+    if (e == nullptr) continue;
+    size_t h = 0;
+    while (h < n_heads && entry[leaders[h]] != e) ++h;
+    if (h < n_heads) {
+      tally_pkts[leaders[h]] += tally_pkts[j];
+      tally_bytes[leaders[h]] += tally_bytes[j];
+    } else {
+      leaders[n_heads++] = j;
+    }
+  }
+  return n_heads;
+}
+
+}  // namespace ovs

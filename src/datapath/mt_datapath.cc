@@ -86,6 +86,8 @@ void ShardedDatapath::process_chunk(WorkerSlot& slot, const Packet* pkts,
   const MtMegaflow* entry[kMaxBatch];  // leader slots: matched megaflow
   const OffloadTable::Entry* offl[kMaxBatch];  // leader slots: offload slot
   uint16_t leaders[kMaxBatch];
+  uint32_t tally_pkts[kMaxBatch];   // leader slots: packets in the group
+  uint64_t tally_bytes[kMaxBatch];  // leader slots: bytes in the group
   size_t n_leaders = 0;
 
   // Local tallies, flushed to the shared atomics once per chunk.
@@ -111,7 +113,13 @@ void ShardedDatapath::process_chunk(WorkerSlot& slot, const Packet* pkts,
         break;
       }
     }
-    if (leader[i] == i) leaders[n_leaders++] = static_cast<uint16_t>(i);
+    if (leader[i] == i) {
+      leaders[n_leaders++] = static_cast<uint16_t>(i);
+      tally_pkts[i] = 0;
+      tally_bytes[i] = 0;
+    }
+    ++tally_pkts[leader[i]];
+    tally_bytes[leader[i]] += pkts[i].size_bytes;
   }
 
   const uint32_t n_tuples = n_tuples_.load(std::memory_order_acquire);
@@ -215,30 +223,18 @@ void ShardedDatapath::process_chunk(WorkerSlot& slot, const Packet* pkts,
     }
   }
 
-  // One statistics bump per matched megaflow.
-  for (size_t l = 0; l < n_leaders; ++l) {
-    const MtMegaflow* e = entry[leaders[l]];
-    if (e == nullptr) continue;
-    bool first = true;
-    for (size_t m = 0; m < l; ++m) {
-      if (entry[leaders[m]] == e) {
-        first = false;
-        break;
-      }
-    }
-    if (!first) continue;
-    ++sum.groups;
-    uint64_t pkt_count = 0, byte_count = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (entry[leader[i]] == e) {
-        ++pkt_count;
-        byte_count += pkts[i].size_bytes;
-      }
-    }
-    const_cast<MtMegaflow*>(e)->bump(pkt_count, byte_count, now_ns);
-    if (const OffloadTable::Entry* oe = offl[leaders[l]]) {
-      oe->counters->hits.fetch_add(pkt_count, std::memory_order_relaxed);
-      oe->counters->bytes.fetch_add(byte_count, std::memory_order_relaxed);
+  // One statistics bump per matched megaflow, from the per-leader tallies.
+  const size_t n_heads = fold_leader_tallies(entry, leaders, n_leaders,
+                                             tally_pkts, tally_bytes);
+  sum.groups += static_cast<uint32_t>(n_heads);
+  for (size_t l = 0; l < n_heads; ++l) {
+    const size_t j = leaders[l];
+    const_cast<MtMegaflow*>(entry[j])->bump(tally_pkts[j], tally_bytes[j],
+                                            now_ns);
+    if (const OffloadTable::Entry* oe = offl[j]) {
+      oe->counters->hits.fetch_add(tally_pkts[j], std::memory_order_relaxed);
+      oe->counters->bytes.fetch_add(tally_bytes[j],
+                                    std::memory_order_relaxed);
     }
   }
 

@@ -64,6 +64,7 @@ ConnTracker::Entry& ConnTracker::insert(const ConnKey& ck, uint64_t now_ns) {
   Entry& e = table_[ck];
   e.last_seen_ns = now_ns;
   e.lru = std::prev(lru.end());
+  note_change(ck);
   return e;
 }
 
@@ -115,6 +116,8 @@ void ConnTracker::evict_lru_of_zone(uint16_t zone, bool zone_cap) {
 size_t ConnTracker::remove_conn(const ConnKey& ck) {
   auto it = table_.find(ck);
   if (it == table_.end()) return 0;
+  // Before the erase: ck may be the LRU list node erased below.
+  note_change(ck);
   const bool has_pair = it->second.has_pair;
   const ConnKey pair = it->second.pair;
   zones_[ck.zone].erase(it->second.lru);
@@ -125,6 +128,7 @@ size_t ConnTracker::remove_conn(const ConnKey& ck) {
     if (pit != table_.end()) {
       zones_[pair.zone].erase(pit->second.lru);
       table_.erase(pit);
+      note_change(pair);
       ++n;
     }
   }
@@ -261,6 +265,10 @@ void ConnTracker::flush() {
   if (table_.empty()) return;
   table_.clear();
   zones_.clear();
+  // Every connection changed: one flush stamp stands for all of them, and
+  // the per-connection record it supersedes is dropped.
+  changes_.clear();
+  flush_stamp_ = ++stamp_;
   ++generation_;
 }
 

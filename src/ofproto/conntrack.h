@@ -17,7 +17,11 @@
 //     event sequence (what lets the differential oracle mirror it);
 //   * SNAT/DNAT bindings: a committed NAT connection stores the forward
 //     rewrite and stamps a reverse-direction entry keyed on the post-NAT
-//     tuple carrying the inverse rewrite, so replies un-NAT statelessly.
+//     tuple carrying the inverse rewrite, so replies un-NAT statelessly;
+//   * per-connection change stamps: every entry created or removed gets a
+//     fresh value of a monotonic counter, so the revalidator can tell which
+//     megaflows consulted a connection that changed since their translation
+//     (CtDeps below).
 //
 // Self-connections (src==dst addr AND port): the two directions of such a
 // tuple are literally the same packet, so "reply" is undecidable from the
@@ -25,11 +29,13 @@
 // deterministic resolution of the old canonical-order ambiguity.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <map>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "packet/flow_key.h"
 #include "util/hash.h"
@@ -124,6 +130,23 @@ class ConnTracker {
   size_t size() const noexcept { return table_.size(); }
   size_t zone_size(uint16_t zone) const noexcept;
   uint64_t generation() const noexcept { return generation_; }
+
+  // Change stamps. insert() and remove_conn() stamp every connection they
+  // create or remove with ++stamp(), which covers new commits (and their
+  // NAT reverse entries), removes (and the NAT pair), idle expiry and both
+  // LRU evictions; an idempotent re-commit stamps nothing. flush() moves
+  // flush_stamp() instead of stamping every entry.
+  uint64_t stamp() const noexcept { return stamp_; }
+  uint64_t flush_stamp() const noexcept { return flush_stamp_; }
+  // Connection hash -> latest stamp, for every connection stamped since the
+  // previous take_changes(); drains the record.
+  using Changes = std::unordered_map<uint64_t, uint64_t>;
+  Changes take_changes() { return std::exchange(changes_, {}); }
+  // The key stamps are recorded under: the hash of the direction-normalized
+  // (5-tuple, zone) that lookup(key, zone) consults.
+  static uint64_t conn_hash(const FlowKey& key, uint16_t zone) noexcept {
+    return conn_key(key, zone).hash();
+  }
   const ConnTrackerConfig& config() const noexcept { return cfg_; }
 
   struct Stats {
@@ -183,6 +206,7 @@ class ConnTracker {
   size_t remove_conn(const ConnKey& ck);
   void make_room(uint16_t zone);
   void evict_lru_of_zone(uint16_t zone, bool zone_cap);
+  void note_change(const ConnKey& ck) { changes_[ck.hash()] = ++stamp_; }
 
   ConnTrackerConfig cfg_;
   std::unordered_map<ConnKey, Entry, ConnKeyHash> table_;
@@ -190,7 +214,47 @@ class ConnTracker {
   // by zone id keeps the largest-zone scan deterministic.
   std::map<uint16_t, std::list<ConnKey>> zones_;
   uint64_t generation_ = 0;
+  uint64_t stamp_ = 0;
+  uint64_t flush_stamp_ = 0;
+  Changes changes_;
   Stats stats_;
+};
+
+// The conntrack inputs of one translation: the tracker's stamp() when it
+// started and the conn_hash() of every tuple it looked up. Two inline slots
+// hold a lookup plus one post-NAT lookup without a heap allocation; a third
+// distinct connection sets `overflow`, after which any conntrack change
+// counts as one of its inputs.
+struct CtDeps {
+  static constexpr size_t kInline = 2;
+  uint64_t stamp = 0;
+  std::array<uint64_t, kInline> conns{};
+  uint8_t n = 0;
+  bool overflow = false;
+
+  void add(uint64_t conn_hash) noexcept {
+    for (uint8_t i = 0; i < n; ++i)
+      if (conns[i] == conn_hash) return;
+    if (n < kInline)
+      conns[n++] = conn_hash;
+    else
+      overflow = true;
+  }
+
+  // Could the translation's conntrack answers differ now? True when the
+  // tracker was flushed after it started, or a connection it consulted was
+  // stamped after it started. `changes` must include every stamp issued
+  // after `stamp` that no earlier call for this translation has seen.
+  bool stale(const ConnTracker& ct,
+             const ConnTracker::Changes& changes) const noexcept {
+    if (ct.flush_stamp() > stamp) return true;
+    if (overflow) return ct.stamp() > stamp;
+    for (uint8_t i = 0; i < n; ++i) {
+      auto it = changes.find(conns[i]);
+      if (it != changes.end() && it->second > stamp) return true;
+    }
+    return false;
+  }
 };
 
 }  // namespace ovs

@@ -62,6 +62,7 @@ struct Pipeline::XlateCtx {
   uint32_t table_lookups = 0;
   uint64_t tags = 0;
   std::vector<const OfRule*> matched_rules;
+  CtDeps ct;
 
   // Merge a lookup's consulted bits, suppressing rewritten ones: reads of a
   // rewritten field observed the written value, not packet bits.
@@ -119,6 +120,8 @@ void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct, int depth) {
   // lookup-only ct rules keep megaflows flag-wildcarded.
   if (ct.commit && is_tcp) ctx.consult_field(FieldId::kTcpFlags);
 
+  // The lookup below and the NAT lookup share this key: one dependency.
+  ctx.ct.add(ConnTracker::conn_hash(ctx.key, ct.zone));
   const uint8_t state = ct_.lookup(ctx.key, ct.zone);
   const bool teardown =
       ct.commit && is_tcp &&
@@ -305,6 +308,10 @@ XlateResult Pipeline::translate_one(const FlowKey& pkt, uint64_t now_ns,
   ctx.original = &pkt;
   ctx.now_ns = now_ns;
   ctx.side_effects = side_effects;
+  // Stamped before any lookup: a translation whose own ct(commit) changes
+  // the connection it consulted comes out stale, since its ct_state is the
+  // pre-commit one.
+  ctx.ct.stamp = ct_.stamp();
   // Datapath flows always match on the ingress port (as in OVS): output
   // actions suppress hairpinning back out of in_port, so the forwarding
   // decision inherently depends on it.
@@ -329,6 +336,7 @@ XlateResult Pipeline::translate_one(const FlowKey& pkt, uint64_t now_ns,
   res.table_lookups = ctx.table_lookups;
   res.tags = ctx.tags;
   res.matched_rules = std::move(ctx.matched_rules);
+  res.ct = ctx.ct;
   return res;
 }
 

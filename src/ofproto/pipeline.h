@@ -16,9 +16,10 @@
 //     stamped during xlate and the consulted 5-tuple becomes part of the
 //     megaflow, so ct-using pipelines produce per-connection megaflows.
 //     Because ct_state feeds classification, megaflows DEPEND on conntrack
-//     state: the Switch layer tracks ConnTracker::generation() as a
-//     revalidation dirtiness source (ct_reval_dirty) so commits, teardowns
-//     and idle expiry repair stale ct_state megaflows on the next pass.
+//     state: each translation records the connections it looked up and the
+//     tracker's change stamp (XlateResult::ct), and the Switch layer
+//     re-translates exactly the megaflows whose connections were committed,
+//     torn down, expired or evicted since (ct_reval_dirty).
 #pragma once
 
 #include <array>
@@ -47,6 +48,9 @@ struct XlateResult {
   // for per-flow statistics (§6). Pointers are valid until the next flow
   // table modification (which bumps Pipeline::generation()).
   std::vector<const OfRule*> matched_rules;
+  // Conntrack inputs: the tracker stamp when translation started and the
+  // connections do_ct looked up (revalidation dependencies, §6).
+  CtDeps ct;
 };
 
 class Pipeline {

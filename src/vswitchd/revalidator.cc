@@ -11,6 +11,7 @@ struct PartStats {
   uint64_t examined = 0;
   uint64_t retranslated = 0;
   uint64_t skipped_by_tags = 0;
+  uint64_t skipped_ct_clean = 0;
   double cycles = 0;
 };
 
@@ -36,12 +37,15 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
       d.kind = RevalDecision::Kind::kSkipClean;
       continue;
     }
-    if (cfg.use_tags && (be.flow_tags(f) & cfg.changed_tags) == 0) {
-      // Tier 1 (§4.3): untouched tags mean this flow's translation inputs
-      // cannot have changed — modulo Bloom false positives, which only cost
-      // an unnecessary re-translation, never a missed repair.
+    if (cfg.use_tags && (be.flow_tags(f) & cfg.changed_tags) == 0 &&
+        (cfg.ct_stale.empty() || cfg.ct_stale[i] == 0)) {
+      // Tier 1 (§4.3): untouched tags and connections mean this flow's
+      // translation inputs cannot have changed — modulo Bloom false
+      // positives and connection-hash collisions, which only cost an
+      // unnecessary re-translation, never a missed repair.
       d.kind = RevalDecision::Kind::kSkipTags;
       ++ps.skipped_by_tags;
+      if (!cfg.ct_stale.empty()) ++ps.skipped_ct_clean;
       continue;
     }
     // Tier 2: full re-translation through the current tables. Translate
@@ -125,6 +129,7 @@ RevalPassStats Revalidator::plan(DpBackend& be, Pipeline& pl,
     out.examined += ps.examined;
     out.retranslated += ps.retranslated;
     out.skipped_by_tags += ps.skipped_by_tags;
+    out.skipped_ct_clean += ps.skipped_ct_clean;
     out.total_cycles += ps.cycles;
     out.makespan_cycles = std::max(out.makespan_cycles, ps.cycles);
   }

@@ -9,8 +9,9 @@
 //     (translation is read-only against the pipeline: classifier lookups,
 //     MAC lookups, conntrack lookups) and records a per-flow verdict plus
 //     the captured XlateResult. A two-tier fast path consults the pipeline
-//     generation counters and the per-flow Bloom tags first, skipping the
-//     full re-translation for flows whose inputs cannot have changed.
+//     generation counters, the per-flow Bloom tags and the per-flow
+//     conntrack marks first, skipping the full re-translation for flows
+//     whose inputs cannot have changed.
 //   * apply — the control thread walks the verdicts in dump order and
 //     performs every mutation: batched deletes, RCU action swaps
 //     (update_actions), attribution refresh, statistics pushes. Keeping all
@@ -23,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "datapath/dp_backend.h"
@@ -48,6 +50,9 @@ struct RevalPassStats {
   uint64_t examined = 0;
   uint64_t retranslated = 0;     // flows that paid a full re-translation
   uint64_t skipped_by_tags = 0;  // flows the tag fast path short-circuited
+  // The subset of skipped_by_tags whose conntrack mark was consulted and
+  // clean: skips in a pass where conntrack had changed.
+  uint64_t skipped_ct_clean = 0;
   double total_cycles = 0;       // CPU work, summed over partitions
   double makespan_cycles = 0;    // modeled pass latency: max over partitions
   size_t threads_used = 1;
@@ -65,6 +70,12 @@ class Revalidator {
     // before paying for a re-translation.
     bool use_tags = false;
     uint64_t changed_tags = 0;
+    // Per-flow conntrack marks, indexed like the dumped flow list: nonzero
+    // when a connection the flow's translation consulted changed since
+    // (CtDeps::stale). With marks present, the tier-1 skip needs clean tags
+    // AND a clean mark; empty means conntrack did not change (or its
+    // changes are ignored) and tags alone decide.
+    std::span<const uint8_t> ct_stale;
     // Cost model (sim/cost_model.h): cycles per examined flow and per
     // classifier lookup during re-translation.
     double reval_per_flow = 0;

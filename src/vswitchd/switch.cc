@@ -206,14 +206,10 @@ void Switch::execute_actions_batch(std::span<const Packet> pkts,
     return false;
   };
 
-  struct Group {
-    const DpActions* actions;
-    uint64_t pkts;
-    uint64_t bytes;
-  };
   // Bursts match a handful of megaflows; linear scan beats a hash map.
-  std::vector<Group> groups;
-  groups.reserve(8);
+  // The scratch vector keeps its capacity across bursts.
+  std::vector<TxGroup>& groups = tx_groups_;
+  groups.clear();
 
   for (size_t i = 0; i < pkts.size(); ++i) {
     const DpActions* a = rx[i].actions;
@@ -223,8 +219,8 @@ void Switch::execute_actions_batch(std::span<const Packet> pkts,
       execute_actions(*a, pkts[i]);
       continue;
     }
-    Group* g = nullptr;
-    for (Group& cand : groups) {
+    TxGroup* g = nullptr;
+    for (TxGroup& cand : groups) {
       if (cand.actions == a) {
         g = &cand;
         break;
@@ -248,7 +244,7 @@ void Switch::execute_actions_batch(std::span<const Packet> pkts,
     }
   }
 
-  for (const Group& g : groups) {
+  for (const TxGroup& g : groups) {
     for (const DpAction& act : g.actions->list) {
       if (const auto* o = std::get_if<OutputAction>(&act)) {
         counters_.tx_packets += g.pkts;
@@ -352,6 +348,7 @@ Switch::InstallResult Switch::install_from_xlate(const XlateResult& xr,
     Attribution& at = attribution_[e];
     at.rules = xr.matched_rules;
     at.captured_gen = pipeline_.tables_generation();
+    at.ct = xr.ct;
     res = InstallResult::kInstalled;
   } else {
     ++counters_.setup_dups;
@@ -527,7 +524,11 @@ void Switch::revalidate(uint64_t now_ns) {
   // ct_state feeds classification, so conntrack mutations are a dirtiness
   // source of their own. Gated by ct_reval_dirty: the ablation the
   // differential fuzzer must catch serves stale ct_state megaflows here.
-  const uint64_t ct_gen = pipeline_.conntrack().generation();
+  // The per-connection stamps are drained on every pass, so each one is
+  // judged against the flows alive when it is taken, exactly once.
+  ConnTracker& ct = pipeline_.conntrack();
+  const uint64_t ct_gen = ct.generation();
+  const ConnTracker::Changes ct_changes = ct.take_changes();
   const bool ct_dirty =
       cfg_.ct_reval_dirty && ct_gen != ct_gen_at_last_reval_;
   const bool maybe_stale =
@@ -548,22 +549,40 @@ void Switch::revalidate(uint64_t now_ns) {
   // generation moved — a rule or port change can invalidate flows whose
   // tags never change, so only MAC-driven staleness may take the tier-1
   // skip (the soundness condition behind making kTwoTier the default).
-  // Conntrack staleness likewise never shows up in tags, so ct-generation
-  // movement drops the fast path for the pass.
+  // Conntrack changes never show up in tags, but every ct-dependent
+  // megaflow records the connections it consulted: when conntrack moved,
+  // kTwoTier keeps the fast path and marks below exactly the flows whose
+  // connections changed, which the plan then re-translates.
   rc.use_tags =
       cfg_.reval_mode == RevalidationMode::kTags ||
       (cfg_.reval_mode == RevalidationMode::kTwoTier && !reval_force_full_ &&
        tables_gen == tables_gen_at_last_reval_ &&
-       ports_gen == ports_gen_at_last_reval_ && !ct_dirty);
+       ports_gen == ports_gen_at_last_reval_);
   rc.changed_tags = changed_tags;
   rc.reval_per_flow = m.reval_per_flow;
   rc.per_table_lookup = m.per_table_lookup;
 
   std::vector<DpBackend::FlowRef> flows = be_->dump();
+  // A flow is ct-stale when a connection it consulted was stamped after its
+  // translation started, the tracker was flushed since, or it has no
+  // attribution (its dependencies are unknown). kTags keeps its historical
+  // tags-only rule.
+  ct_stale_.clear();
+  if (ct_dirty && rc.use_tags &&
+      cfg_.reval_mode == RevalidationMode::kTwoTier) {
+    ct_stale_.resize(flows.size());
+    for (size_t i = 0; i < flows.size(); ++i) {
+      auto it = attribution_.find(flows[i]);
+      ct_stale_[i] = it == attribution_.end() ||
+                     it->second.ct.stale(ct, ct_changes);
+    }
+  }
+  rc.ct_stale = ct_stale_;
   last_pass_ = Revalidator::plan(*be_, pipeline_, flows, now_ns, rc,
                                  &decisions_);
   counters_.reval_flows_examined += last_pass_.examined;
   counters_.reval_skipped_by_tags += last_pass_.skipped_by_tags;
+  counters_.reval_skipped_ct_clean += last_pass_.skipped_ct_clean;
 
   // Work vs latency: every partition's cycles are CPU work; the deadline
   // below compares against the modeled pass latency (slowest partition
@@ -937,12 +956,14 @@ void Switch::refresh_attribution(DpBackend::FlowRef f, XlateResult&& xr) {
   Attribution& at = attribution_[f];
   at.rules = std::move(xr.matched_rules);
   at.captured_gen = pipeline_.tables_generation();
+  at.ct = xr.ct;
 }
 
 void Switch::adopt_attribution(DpBackend::FlowRef f, XlateResult&& xr) {
   Attribution& at = attribution_[f];
   at.rules = std::move(xr.matched_rules);
   at.captured_gen = pipeline_.tables_generation();
+  at.ct = xr.ct;
   // The rebuilt rules' statistics start from zero; pre-adoption traffic
   // belongs to the previous daemon incarnation and must not be replayed.
   at.pushed_packets = be_->flow_packets(f);

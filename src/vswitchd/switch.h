@@ -238,11 +238,12 @@ struct SwitchConfig {
   uint64_t ct_idle_timeout_ns = 0;
   bool ct_fair_eviction = true;
   // ct_state feeds classification, so megaflows depend on conntrack state;
-  // this makes ConnTracker::generation() a revalidation dirtiness source
-  // (and suspends the kTwoTier tag fast path while it moves — tags track
-  // MAC learning only). false is DELIBERATELY UNSOUND: stale ct_state
-  // megaflows survive revalidation. It exists as the differential fuzzer's
-  // ablation gate, same pattern as the kTags reval mode.
+  // this makes conntrack changes a revalidation dirtiness source. Under
+  // kTwoTier the pass re-translates exactly the megaflows whose recorded
+  // connections changed since their translation (XlateResult::ct); the
+  // others keep the tag fast path. false is DELIBERATELY UNSOUND: stale
+  // ct_state megaflows survive revalidation. It exists as the differential
+  // fuzzer's ablation gate, same pattern as the kTags reval mode.
   bool ct_reval_dirty = true;
 
   // Cache invalidation parameters (§6).
@@ -331,8 +332,8 @@ class Switch {
   // "ct-commit"/"ct-delete" analogues, and what the differential harness
   // drives in lockstep on the switch and its oracle (translate-time
   // ct(commit) timing is cache-state-dependent, so fuzz scenarios mutate
-  // the connection table explicitly). ct-generation movement makes the next
-  // revalidation repair any megaflow stamped with the old ct_state.
+  // the connection table explicitly). The next revalidation repairs every
+  // megaflow that consulted a connection these writes changed.
   bool ct_commit(const FlowKey& key, uint16_t zone, uint64_t now_ns) {
     return pipeline_.conntrack().commit(key, zone, now_ns);
   }
@@ -438,6 +439,9 @@ class Switch {
     uint64_t reval_deleted_stale = 0;
     uint64_t reval_updated_actions = 0;
     uint64_t reval_skipped_by_tags = 0;
+    // Of those, skips in a pass where conntrack had changed: the flow's
+    // connections were untouched (RevalPassStats::skipped_ct_clean).
+    uint64_t reval_skipped_ct_clean = 0;
     uint64_t evicted_flow_limit = 0;
     // NIC offload tier (DESIGN.md §13): slots programmed / invalidated by
     // the placement policy (backend-internal evictions on megaflow removal
@@ -592,6 +596,9 @@ class Switch {
     // be deleted by a table modification, which bumps it — MAC moves and
     // port changes leave the pointers intact).
     uint64_t captured_gen = 0;
+    // Conntrack inputs of the translation that produced the flow's current
+    // actions: revalidate() re-translates the flow when one of them changed.
+    CtDeps ct;
   };
   void push_flow_stats(DpBackend::FlowRef f, uint64_t now_ns);
   void refresh_attribution(DpBackend::FlowRef f, XlateResult&& xr);
@@ -619,6 +626,14 @@ class Switch {
   CpuAccounting cpu_;
   std::vector<Datapath::RxResult> results_;  // inject_batch scratch
   std::vector<RevalDecision> decisions_;     // revalidation plan scratch
+  std::vector<uint8_t> ct_stale_;            // revalidation conntrack marks
+  // execute_actions_batch scratch: one tx tally per action list in a burst.
+  struct TxGroup {
+    const DpActions* actions;
+    uint64_t pkts;
+    uint64_t bytes;
+  };
+  std::vector<TxGroup> tx_groups_;
   RevalPassStats last_pass_;
   size_t effective_limit_;
   uint64_t pipeline_gen_at_last_reval_ = 0;
@@ -629,6 +644,7 @@ class Switch {
   uint64_t ports_gen_at_last_reval_ = 0;
   // Conntrack generation at the last pass: a separate dirtiness source so
   // the ct_reval_dirty ablation can ignore it without touching the rest.
+  // Which flows it makes stale is decided per flow (Attribution::ct).
   uint64_t ct_gen_at_last_reval_ = 0;
 
   // Crash/restart lifecycle (DESIGN.md §9).

@@ -402,5 +402,195 @@ TEST(ConnTrackerTest, FlushDropsEverythingAndBumpsGeneration) {
   EXPECT_EQ(ct.generation(), gen2);
 }
 
+// --- Change stamps (per-connection revalidation dependencies) ------------
+
+// The stamp take_changes() reports for `key`'s connection, or 0.
+uint64_t stamp_of(const ConnTracker::Changes& ch, const FlowKey& key,
+                  uint16_t zone = 0) {
+  auto it = ch.find(ConnTracker::conn_hash(key, zone));
+  return it == ch.end() ? 0 : it->second;
+}
+
+TEST(ConnTrackerStampTest, NewCommitStampsItsConnection) {
+  ConnTracker ct;
+  EXPECT_EQ(ct.stamp(), 0u);
+  ASSERT_TRUE(ct.commit(conn_n(1), 4));
+  const ConnTracker::Changes ch = ct.take_changes();
+  ASSERT_EQ(ch.size(), 1u);
+  EXPECT_EQ(stamp_of(ch, conn_n(1), 4), ct.stamp());
+  EXPECT_GT(ct.stamp(), 0u);
+  // Drained: the next take reports nothing.
+  EXPECT_TRUE(ct.take_changes().empty());
+  // Both directions of a connection share its hash; zones do not.
+  FlowKey rev = conn_n(1);
+  rev.set_nw_src(conn_n(1).nw_dst());
+  rev.set_nw_dst(conn_n(1).nw_src());
+  rev.set_tp_src(conn_n(1).tp_dst());
+  rev.set_tp_dst(conn_n(1).tp_src());
+  EXPECT_EQ(ConnTracker::conn_hash(rev, 4),
+            ConnTracker::conn_hash(conn_n(1), 4));
+  EXPECT_NE(ConnTracker::conn_hash(conn_n(1), 5),
+            ConnTracker::conn_hash(conn_n(1), 4));
+}
+
+TEST(ConnTrackerStampTest, RefreshStampsNothing) {
+  ConnTracker ct;
+  const FlowKey fwd = flow(Ipv4(10, 0, 0, 5), Ipv4(198, 51, 100, 1), 5555, 80);
+  const CtNatSpec nat{/*src=*/true, Ipv4(192, 0, 2, 9).value(), 40001};
+  ct.commit(conn_n(1), 0, 10);
+  ct.commit_nat(fwd, nat, 0, 10);
+  ct.take_changes();
+  const uint64_t stamp = ct.stamp();
+  EXPECT_FALSE(ct.commit(conn_n(1), 0, 20));
+  EXPECT_FALSE(ct.commit_nat(fwd, nat, 0, 20));
+  EXPECT_FALSE(ct.commit(fwd, 0, 30));
+  EXPECT_EQ(ct.stats().refreshed, 3u);
+  EXPECT_EQ(ct.stamp(), stamp);
+  EXPECT_TRUE(ct.take_changes().empty());
+}
+
+TEST(ConnTrackerStampTest, NatCommitStampsReverseEntry) {
+  ConnTracker ct;
+  const FlowKey fwd = flow(Ipv4(10, 0, 0, 5), Ipv4(198, 51, 100, 1), 5555, 80);
+  const FlowKey reply =
+      flow(Ipv4(198, 51, 100, 1), Ipv4(192, 0, 2, 9), 80, 40001);
+  ASSERT_TRUE(ct.commit_nat(
+      fwd, CtNatSpec{/*src=*/true, Ipv4(192, 0, 2, 9).value(), 40001}));
+  const ConnTracker::Changes ch = ct.take_changes();
+  EXPECT_EQ(ch.size(), 2u);
+  EXPECT_GT(stamp_of(ch, fwd), 0u);
+  EXPECT_GT(stamp_of(ch, reply), stamp_of(ch, fwd));
+  EXPECT_EQ(stamp_of(ch, reply), ct.stamp());
+}
+
+TEST(ConnTrackerStampTest, RemoveStampsConnectionAndNatPair) {
+  ConnTracker ct;
+  const FlowKey fwd = flow(Ipv4(10, 0, 0, 5), Ipv4(198, 51, 100, 1), 5555, 80);
+  const FlowKey reply =
+      flow(Ipv4(198, 51, 100, 1), Ipv4(192, 0, 2, 9), 80, 40001);
+  ct.commit_nat(fwd,
+                CtNatSpec{/*src=*/true, Ipv4(192, 0, 2, 9).value(), 40001});
+  ct.commit(conn_n(7));
+  ct.take_changes();
+  const uint64_t before = ct.stamp();
+  ASSERT_TRUE(ct.remove(fwd));
+  const ConnTracker::Changes ch = ct.take_changes();
+  EXPECT_EQ(ch.size(), 2u);
+  EXPECT_GT(stamp_of(ch, fwd), before);
+  EXPECT_GT(stamp_of(ch, reply), before);
+  EXPECT_EQ(stamp_of(ch, conn_n(7)), 0u);  // untouched connection
+  // Removing a connection that does not exist stamps nothing.
+  EXPECT_FALSE(ct.remove(conn_n(99)));
+  EXPECT_TRUE(ct.take_changes().empty());
+}
+
+TEST(ConnTrackerStampTest, ExpiryStampsOnlyExpiredConnections) {
+  ConnTrackerConfig cfg;
+  cfg.idle_timeout_ns = 1000;
+  ConnTracker ct(cfg);
+  ct.commit(conn_n(1), 0, 100);
+  ct.commit(conn_n(2), 0, 900);
+  ct.take_changes();
+  const uint64_t before = ct.stamp();
+  ASSERT_EQ(ct.expire_idle(1500), 1u);
+  const ConnTracker::Changes ch = ct.take_changes();
+  EXPECT_EQ(ch.size(), 1u);
+  EXPECT_GT(stamp_of(ch, conn_n(1)), before);
+  EXPECT_EQ(stamp_of(ch, conn_n(2)), 0u);
+}
+
+TEST(ConnTrackerStampTest, ZoneCapEvictionStampsVictim) {
+  ConnTrackerConfig cfg;
+  cfg.max_per_zone = 2;
+  ConnTracker ct(cfg);
+  ct.commit(conn_n(1), 1, 100);
+  ct.commit(conn_n(2), 1, 200);
+  ct.take_changes();
+  ct.commit(conn_n(3), 1, 300);  // evicts conn 1, the zone's LRU
+  ASSERT_EQ(ct.stats().evicted_zone_cap, 1u);
+  const ConnTracker::Changes ch = ct.take_changes();
+  EXPECT_EQ(ch.size(), 2u);
+  EXPECT_GT(stamp_of(ch, conn_n(1), 1), 0u);
+  EXPECT_GT(stamp_of(ch, conn_n(3), 1), stamp_of(ch, conn_n(1), 1));
+  EXPECT_EQ(stamp_of(ch, conn_n(2), 1), 0u);
+}
+
+TEST(ConnTrackerStampTest, GlobalCapEvictionStampsVictim) {
+  ConnTrackerConfig cfg;
+  cfg.max_entries = 2;
+  ConnTracker ct(cfg);
+  ct.commit(conn_n(1), 2, 100);
+  ct.commit(conn_n(2), 2, 200);
+  ct.take_changes();
+  ct.commit(conn_n(3), 1, 300);  // global cap: zone 2 (largest) pays
+  ASSERT_EQ(ct.stats().evicted_global_cap, 1u);
+  const ConnTracker::Changes ch = ct.take_changes();
+  EXPECT_EQ(ch.size(), 2u);
+  EXPECT_GT(stamp_of(ch, conn_n(1), 2), 0u);
+  EXPECT_GT(stamp_of(ch, conn_n(3), 1), stamp_of(ch, conn_n(1), 2));
+  EXPECT_EQ(stamp_of(ch, conn_n(2), 2), 0u);
+}
+
+TEST(ConnTrackerStampTest, FlushRecordsFlushStamp) {
+  ConnTracker ct;
+  ct.commit(conn_n(1));
+  ct.commit(conn_n(2), 3);
+  EXPECT_EQ(ct.flush_stamp(), 0u);
+  ct.flush();
+  EXPECT_EQ(ct.flush_stamp(), ct.stamp());
+  EXPECT_GT(ct.flush_stamp(), 0u);
+  // The flush stamp stands for every connection; no per-connection record.
+  EXPECT_TRUE(ct.take_changes().empty());
+  // Flushing an empty tracker changes nothing.
+  const uint64_t stamp = ct.stamp();
+  ct.flush();
+  EXPECT_EQ(ct.stamp(), stamp);
+}
+
+TEST(CtDepsTest, StaleExactlyWhenAConsultedConnectionChangedLater) {
+  ConnTracker ct;
+  ct.commit(conn_n(1));
+  ct.take_changes();
+  CtDeps d;
+  d.stamp = ct.stamp();
+  d.add(ConnTracker::conn_hash(conn_n(1), 0));
+  d.add(ConnTracker::conn_hash(conn_n(1), 0));  // deduplicated
+  d.add(ConnTracker::conn_hash(conn_n(2), 0));
+  EXPECT_EQ(d.n, 2u);
+  EXPECT_FALSE(d.overflow);
+
+  ct.commit(conn_n(3));  // not consulted
+  EXPECT_FALSE(d.stale(ct, ct.take_changes()));
+  ct.commit(conn_n(2));  // consulted (was absent, now committed)
+  EXPECT_TRUE(d.stale(ct, ct.take_changes()));
+  ct.remove(conn_n(1));
+  EXPECT_TRUE(d.stale(ct, ct.take_changes()));
+
+  // A translation stamped after a change is not stale for it.
+  ct.commit(conn_n(1));
+  CtDeps later;
+  later.stamp = ct.stamp();
+  later.add(ConnTracker::conn_hash(conn_n(1), 0));
+  EXPECT_FALSE(later.stale(ct, ct.take_changes()));
+  // A flush after the stamp makes every translation stale.
+  ct.flush();
+  EXPECT_TRUE(later.stale(ct, ct.take_changes()));
+  CtDeps none;
+  none.stamp = 0;
+  EXPECT_TRUE(none.stale(ct, {}));
+}
+
+TEST(CtDepsTest, OverflowCountsAnyChange) {
+  ConnTracker ct;
+  CtDeps d;
+  d.stamp = ct.stamp();
+  for (uint32_t n = 1; n <= 3; ++n) d.add(ConnTracker::conn_hash(conn_n(n), 0));
+  EXPECT_EQ(d.n, CtDeps::kInline);
+  EXPECT_TRUE(d.overflow);
+  EXPECT_FALSE(d.stale(ct, {}));
+  ct.commit(conn_n(50));  // an unrelated connection
+  EXPECT_TRUE(d.stale(ct, ct.take_changes()));
+}
+
 }  // namespace
 }  // namespace ovs
