@@ -1,4 +1,4 @@
-// Sharded multi-worker datapath bench: Mpps as a function of worker count
+// Multi-worker datapath bench: Mpps as a function of worker count
 // and receive-burst size on a long-lived-flows workload (steady state: every
 // packet resolved by the per-worker microflow shard or the shared megaflow
 // classifier; no flow setups in the measured window).
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "datapath/mt_datapath.h"
+#include "datapath/datapath.h"
 #include "packet/match.h"
 
 namespace ovs {
@@ -71,7 +71,7 @@ Workload build_workload(size_t workers, size_t pkts_per_worker,
   return w;
 }
 
-void install_megaflows(ShardedDatapath& dp, size_t megaflows) {
+void install_megaflows(Datapath& dp, size_t megaflows) {
   for (size_t i = 0; i < megaflows; ++i)
     dp.install(MatchBuilder().ip().nw_dst_prefix(
                    Ipv4(static_cast<uint8_t>(10 + i), 0, 0, 0), 8),
@@ -95,12 +95,12 @@ struct RunResult {
 
 RunResult run_once(size_t workers, size_t batch, const Workload& wl,
                    const CostModel& cost, bool real_mode) {
-  ShardedDatapathConfig cfg;
+  DatapathConfig cfg;
   cfg.n_workers = workers;
-  ShardedDatapath dp(cfg);
+  Datapath dp(cfg);
   install_megaflows(dp, 16);
 
-  std::vector<Datapath::RxResult> results(ShardedDatapath::kMaxBatch);
+  std::vector<Datapath::RxResult> results(Datapath::kMaxBatch);
   const auto drive = [&](size_t wk, double* cycles) {
     const auto& s = wl.streams[wk];
     Datapath::BatchSummary total{};

@@ -188,7 +188,7 @@ SweepResult run_sweep_point(size_t slots, const Params& P) {
   for (size_t tick = 0; tick < warm_ticks + meas_ticks; ++tick) {
     if (tick == warm_ticks) {
       kernel0 = swp->cpu().kernel_cycles;
-      s0 = swp->backend().stats();
+      s0 = swp->datapath().stats();
     }
     for (size_t i = 0; i < pkts_per_tick; ++i)
       swp->inject(flow_packet(skew.sample(rng)), clock.now());
@@ -199,7 +199,7 @@ SweepResult run_sweep_point(size_t slots, const Params& P) {
 
   SweepResult r;
   r.slots = slots;
-  const Datapath::Stats d = swp->backend().stats();
+  const Datapath::Stats d = swp->datapath().stats();
   const auto measured = static_cast<double>(d.packets - s0.packets);
   if (measured > 0) {
     r.hit_rate = static_cast<double>(d.offload_hits - s0.offload_hits) /
@@ -273,9 +273,9 @@ size_t run_churn_crash(const Params& P, size_t slots) {
       // Blackout rot: offloaded slots and megaflow entries desynchronized
       // to the bogus port while no daemon is watching.
       for (size_t k = 0; k < 16; ++k) {
-        sw->backend().offload_corrupt(
+        sw->datapath().offload_corrupt(
             k * 7, OffloadTable::Corruption::kStaleActions);
-        sw->backend().corrupt_entry(k * 13);
+        sw->datapath().corrupt_entry(k * 13);
       }
     } else if ((tick + 1) % P.maintenance_ms == 0) {
       sw->run_maintenance(clock.now());
@@ -304,7 +304,7 @@ size_t run_churn_crash(const Params& P, size_t slots) {
   }
 
   const uint64_t mis_after = sw->port_stats(kBogusPort).tx_packets - mis_floor;
-  const DpCheckReport rep = run_dp_check(sw->backend());
+  const DpCheckReport rep = run_dp_check(sw->datapath());
   if (!rep.ok() || !sw->self_check().ok()) return SIZE_MAX;
   return static_cast<size_t>(mis_after);
 }

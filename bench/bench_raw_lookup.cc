@@ -22,7 +22,6 @@
 
 #include "bench_common.h"
 #include "classifier/classifier.h"
-#include "datapath/concurrent_emc.h"
 #include "datapath/datapath.h"
 #include "util/cuckoo.h"
 #include "util/prefix_trie.h"
@@ -258,38 +257,43 @@ int bench_main(int argc, char** argv) {
     report_row(report, "cuckoo_insert_erase", rate, {}, iters);
   }
 
-  // --- §4.1 concurrent EMC: 3 readers vs 1 writer ----------------------------
+  // --- §4.1 concurrent EMC hits: 3 workers vs 1 writer ------------------------
   {
-    ConcurrentEmc emc(8192);
+    // Three workers hit their own EMC shards over the shared table while the
+    // control thread swaps the megaflow's actions and runs a grace period
+    // every 100 us.
+    DatapathConfig cfg;
+    cfg.n_workers = 3;
+    Datapath dp(cfg);
+    MegaflowEntry* e =
+        dp.install(MatchBuilder().ip(), DpActions().output(1), 0);
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> reads{0};
-    std::thread writer([&] {
-      Rng rng(77);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const uint64_t h = rng.uniform(16384);
-        emc.install(h, hash_mix64(h | 1));
-      }
-    });
     std::vector<std::thread> readers;
-    for (int t = 0; t < 3; ++t)
+    for (size_t t = 0; t < 3; ++t)
       readers.emplace_back([&, t] {
-        Rng rng(78 + t);
+        Packet p;
+        p.key.set_eth_type(ethertype::kIpv4);
+        p.key.set_nw_dst(Ipv4(1, 1, 1, static_cast<uint8_t>(t)));
         uint64_t n = 0;
         while (!stop.load(std::memory_order_relaxed)) {
-          keep(emc.lookup(rng.uniform(16384)));
+          keep(dp.receive(p, n, t).path);
           ++n;
         }
         reads.fetch_add(n, std::memory_order_relaxed);
       });
     const double window_s = 0.2 * static_cast<double>(mult);
     const double t0 = now_s();
-    while (now_s() - t0 < window_s) std::this_thread::yield();
+    for (uint32_t port = 0; now_s() - t0 < window_s; ++port) {
+      dp.update_actions(e, DpActions().output(port % 64 + 1));
+      dp.purge_dead();
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
     stop.store(true);
-    writer.join();
     for (auto& th : readers) th.join();
     const double rate =
         static_cast<double>(reads.load()) / (now_s() - t0) / 3.0;
-    report_row(report, "concurrent_emc_reads_per_thread", rate,
+    report_row(report, "datapath_emc_hits_per_worker", rate,
                {{"readers", "3"}, {"writers", "1"}},
                reads.load());
   }

@@ -48,7 +48,7 @@ struct Params {
   size_t corrupted = 32;          // entries rotted during the blackout
   size_t handler_budget = 256;    // upcalls serviced per 1 ms tick
   size_t maintenance_ms = 250;    // maintenance (and self-check) period
-  size_t datapath_workers = 0;    // 0 = single-threaded kernel datapath
+  size_t workers = 1;             // kernel datapath forwarding workers
   size_t revalidator_threads = 1;
   uint64_t seed = 7;
 };
@@ -94,9 +94,8 @@ Packet make_packet(uint32_t in_port, Ipv4 src, Ipv4 dst, uint16_t sport) {
 
 std::vector<std::string> canonical_flows(const Switch& sw) {
   std::vector<std::string> out;
-  for (DpBackend::FlowRef f : sw.backend().dump())
-    out.push_back(sw.backend().flow_match(f).to_string() + " -> " +
-                  sw.backend().flow_actions(f).to_string());
+  for (const MegaflowEntry* f : sw.datapath().dump())
+    out.push_back(f->match().to_string() + " -> " + f->actions().to_string());
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -115,7 +114,7 @@ Outcome run_recovery(bool coldstart, const Params& P) {
   FaultInjector fault(P.seed);
   SwitchConfig cfg;
   cfg.flow_limit = 50000;
-  cfg.datapath_workers = P.datapath_workers;
+  cfg.datapath.n_workers = P.workers;
   cfg.revalidator_threads = P.revalidator_threads;
   cfg.fault = &fault;
   Switch sw(cfg);
@@ -179,7 +178,7 @@ Outcome run_recovery(bool coldstart, const Params& P) {
     if (!crashed_seen && sw.lifecycle() != LifecycleState::kServing) {
       crashed_seen = true;
       crash_ns = clock.now();
-      out.flows_at_crash = sw.backend().flow_count();
+      out.flows_at_crash = sw.datapath().flow_count();
       dropped_at_crash = sw.counters().upcalls_dropped;
       adopted0 = sw.counters().flows_adopted;
       repaired0 = sw.counters().flows_repaired;
@@ -192,23 +191,22 @@ Outcome run_recovery(bool coldstart, const Params& P) {
       // healthy install path would never produce (broader /16 mask, bogus
       // actions, intersecting an installed /24 entry's region).
       for (size_t k = 0; k < P.corrupted; ++k)
-        sw.backend().corrupt_entry(
+        sw.datapath().corrupt_entry(
             (k * 97) % std::max<uint64_t>(1, out.flows_at_crash));
-      const std::vector<DpBackend::FlowRef> live = sw.backend().dump();
+      const std::vector<MegaflowEntry*> live = sw.datapath().dump();
       if (!live.empty()) {
-        const Match& m = sw.backend().flow_match(live[0]);
+        const Match& m = live[0]->match();
         MatchBuilder rogue = MatchBuilder().tcp().nw_dst_prefix(
             Ipv4(m.key.nw_dst()), 16);
         DpActions bogus;
         bogus.output(kBogusPort);
-        sw.backend().install(rogue, std::move(bogus), clock.now());
+        sw.datapath().install(rogue, std::move(bogus), clock.now());
       }
       if (coldstart) {
         // Ablation: the surviving cache is discarded, so recovery must
         // rebuild every flow through the upcall path.
-        for (DpBackend::FlowRef f : sw.backend().dump())
-          sw.backend().remove(f);
-        sw.backend().purge_dead();
+        for (MegaflowEntry* f : sw.datapath().dump()) sw.datapath().remove(f);
+        sw.datapath().purge_dead();
       }
     }
     if (crashed_seen && !serving_seen &&
@@ -228,7 +226,7 @@ Outcome run_recovery(bool coldstart, const Params& P) {
     // count is live (on the reconcile path the cache never dips, so this is
     // the restart tick; cold start must also re-install its flows).
     if (serving_seen && !recovered_seen &&
-        sw.backend().flow_count() >=
+        sw.datapath().flow_count() >=
             (out.flows_at_crash * 95) / 100) {
       recovered_seen = true;
       recovered_ns = clock.now();
@@ -249,7 +247,7 @@ Outcome run_recovery(bool coldstart, const Params& P) {
   out.quarantined = c.flows_quarantined - quarantined0;
   out.canonical_flows = canonical_flows(sw);
 
-  const Datapath::Stats d = sw.backend().stats();
+  const Datapath::Stats d = sw.datapath().stats();
   out.fingerprint = {c.flow_setups,       c.setup_dups,
                      c.install_fails,     c.upcalls_handled,
                      c.upcalls_dropped,   c.upcalls_retried,
@@ -260,7 +258,7 @@ Outcome run_recovery(bool coldstart, const Params& P) {
                      c.tx_packets,        d.packets,
                      d.misses,            out.flows_at_crash,
                      out.misdelivered_after,
-                     sw.backend().flow_count(),
+                     sw.datapath().flow_count(),
                      fnv1a(out.canonical_flows)};
   return out;
 }
@@ -311,15 +309,15 @@ int main(int argc, char** argv) {
   print_outcome("coldstart", coldstart);
   print_rule();
 
-  // Backend / thread-count invariance: the post-recovery flow table and the
-  // reconciliation verdicts must not depend on how the datapath is sharded
-  // or how many plan threads the revalidator uses.
+  // Worker / thread-count invariance: the post-recovery flow table and the
+  // reconciliation verdicts must not depend on how many workers the
+  // datapath runs or how many plan threads the revalidator uses.
   Params mt = P;
   mt.revalidator_threads = 4;
   const Outcome threads4 = run_recovery(false, mt);
-  Params sharded = mt;
-  sharded.datapath_workers = 4;
-  const Outcome workers4 = run_recovery(false, sharded);
+  Params w4 = mt;
+  w4.workers = 4;
+  const Outcome workers4 = run_recovery(false, w4);
 
   const bool deterministic = reconcile.fingerprint == replay.fingerprint;
   const bool gate_mis = reconcile.misdelivered_after == 0 &&

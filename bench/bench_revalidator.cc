@@ -2,8 +2,8 @@
 // flows/s as a function of (a) plan-thread count and (b) the dirty fraction
 // seen by the two-tier tag fast path.
 //
-// Both workloads run the full Switch on the sharded datapath backend
-// (datapath_workers=4) and read Switch::last_reval_pass(); all reported
+// Both workloads run the full Switch on a four-worker datapath
+// (datapath.n_workers=4) and read Switch::last_reval_pass(); all reported
 // rates come from the *virtual-cycle* pass latency (plan makespan plus
 // per-thread sync from the CostModel), so the numbers are deterministic and
 // host-independent — plan threads really run, but only correctness depends
@@ -38,7 +38,7 @@ constexpr uint64_t kMs = 1'000'000ULL;
 
 SwitchConfig scaling_config() {
   SwitchConfig cfg;
-  cfg.datapath_workers = 4;
+  cfg.datapath.n_workers = 4;
   cfg.flow_limit = 1 << 20;
   cfg.dynamic_flow_limit = false;
   cfg.degradation.enabled = false;
@@ -138,7 +138,7 @@ int bench_main(int argc, char** argv) {
   }
   sw.handle_upcalls(now);
   std::printf("scaling workload: %zu megaflows installed (%zu wanted)\n",
-              sw.backend().flow_count(), n_flows);
+              sw.datapath().flow_count(), n_flows);
 
   std::printf("%-8s %12s %14s %8s\n", "threads", "pass(ms)", "flows/s",
               "retrans");
@@ -208,7 +208,7 @@ int bench_main(int argc, char** argv) {
   tnow += kMs;
   tsw.run_maintenance(tnow);
   std::printf("\ntag workload: %zu megaflows over %zu clients (mode=twotier)\n",
-              tsw.backend().flow_count(), n_clients);
+              tsw.datapath().flow_count(), n_clients);
 
   std::printf("%-8s %-8s %10s %10s %12s\n", "dirty_k", "dirty%", "skipped",
               "retrans", "skip_ratio");

@@ -118,7 +118,7 @@ Totals run_measurement(const Params& p) {
         sw.pipeline().mac_learning().take_changed_tags();
     t.tag_bits_max =
         std::max<uint64_t>(t.tag_bits_max, __builtin_popcountll(changed));
-    const std::vector<DpBackend::FlowRef> flows = sw.backend().dump();
+    const std::vector<MegaflowEntry*> flows = sw.datapath().dump();
     Revalidator::Config rc;
     rc.n_threads = 1;
     rc.idle_ns = cfg.idle_timeout_ns;
@@ -126,11 +126,9 @@ Totals run_measurement(const Params& p) {
     std::vector<RevalDecision> tags_plan, full_plan;
     rc.use_tags = true;
     rc.changed_tags = changed;
-    Revalidator::plan(sw.backend(), sw.pipeline(), flows, now, rc,
-                      &tags_plan);
+    Revalidator::plan(sw.pipeline(), flows, now, rc, &tags_plan);
     rc.use_tags = false;
-    Revalidator::plan(sw.backend(), sw.pipeline(), flows, now, rc,
-                      &full_plan);
+    Revalidator::plan(sw.pipeline(), flows, now, rc, &full_plan);
 
     for (size_t i = 0; i < flows.size(); ++i) {
       ++t.examined;

@@ -230,7 +230,7 @@ Outcome run_attack(Defense d, size_t n_rules, const Params& P) {
       out.victim_offered += nv;
       out.dp_masks_peak =
           std::max(out.dp_masks_peak,
-                   static_cast<uint64_t>(sw.backend().mask_count()));
+                   static_cast<uint64_t>(sw.datapath().mask_count()));
     }
 
     sw.handle_upcalls(clock.now(), P.handler_budget);

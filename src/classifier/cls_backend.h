@@ -5,9 +5,9 @@
 // accumulation included) so the differential fuzzer and the equivalence
 // property tests can diff them rule-for-rule.
 //
-// Rules stay engine-opaque the same way dp_backend's FlowRef does: the
-// engine stamps Rule's intrusive `sub_` pointer (via RuleLinks) with its own
-// subtable structure and must be the one to clear it on remove.
+// Rules stay engine-opaque: the engine stamps Rule's intrusive `sub_`
+// pointer (via RuleLinks) with its own subtable structure and must be the
+// one to clear it on remove.
 #pragma once
 
 #include <cstdint>

@@ -47,9 +47,9 @@ void note(DpCheckReport& r, const DpCheckConfig& cfg, std::string detail) {
 
 }  // namespace
 
-DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg) {
+DpCheckReport run_dp_check(const Datapath& dp, const DpCheckConfig& cfg) {
   DpCheckReport report;
-  const std::vector<DpBackend::FlowRef> flows = be.dump();
+  const std::vector<MegaflowEntry*> flows = dp.dump();
   report.flows_checked = flows.size();
 
   std::vector<size_t> doomed;  // dump indices to quarantine
@@ -66,7 +66,7 @@ DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg) {
     std::unordered_map<Words, size_t, WordsHash> group_of;
     std::vector<Group> groups;
     for (size_t i = 0; i < flows.size(); ++i) {
-      const Match& m = be.flow_match(flows[i]);
+      const Match& m = flows[i]->match();
       const Words mw = key_words(m.mask);
       auto [it, fresh] = group_of.try_emplace(mw, groups.size());
       if (fresh) groups.push_back({mw, {}});
@@ -77,13 +77,13 @@ DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg) {
       if (g.idx.size() < 2) continue;
       std::unordered_map<Words, size_t, WordsHash> seen;
       for (size_t i : g.idx) {
-        const Words kw = key_words(be.flow_match(flows[i]).key);
+        const Words kw = key_words(flows[i]->match().key);
         auto [it, fresh] = seen.try_emplace(kw, i);
         if (!fresh) {
           ++report.duplicate_keys;
           doomed.push_back(i);
           note(report, cfg,
-               "duplicate masked key: " + be.flow_match(flows[i]).to_string());
+               "duplicate masked key: " + flows[i]->match().to_string());
         }
       }
     }
@@ -98,22 +98,22 @@ DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg) {
         std::unordered_map<Words, size_t, WordsHash> proj;
         proj.reserve(groups[a].idx.size());
         for (size_t i : groups[a].idx)
-          proj.emplace(masked_words(be.flow_match(flows[i]).key, inter), i);
+          proj.emplace(masked_words(flows[i]->match().key, inter), i);
         for (size_t j : groups[b].idx) {
           const auto it =
-              proj.find(masked_words(be.flow_match(flows[j]).key, inter));
+              proj.find(masked_words(flows[j]->match().key, inter));
           if (it == proj.end()) continue;
           const size_t i = it->second;
           const bool same_actions =
-              be.flow_actions(flows[i]) == be.flow_actions(flows[j]);
+              flows[i]->actions() == flows[j]->actions();
           if (same_actions) {
             ++report.benign_overlaps;
             if (!cfg.quarantine_benign_overlaps) continue;
           } else {
             ++report.overlap_violations;
             note(report, cfg,
-                 "overlap: " + be.flow_match(flows[i]).to_string() + " vs " +
-                     be.flow_match(flows[j]).to_string());
+                 "overlap: " + flows[i]->match().to_string() + " vs " +
+                     flows[j]->match().to_string());
           }
           doomed.push_back(std::max(i, j));
         }
@@ -122,52 +122,54 @@ DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg) {
   }
 
   if (cfg.check_emc) {
-    report.emc_dangling_hints = be.emc_dangling_hints();
+    report.emc_dangling_hints = dp.emc_dangling_hints();
     if (report.emc_dangling_hints > 0)
       note(report, cfg,
            "emc: " + std::to_string(report.emc_dangling_hints) +
                " dangling hint(s)");
   }
 
-  if (cfg.check_offload && be.offload_enabled()) {
+  if (cfg.check_offload && dp.offload() != nullptr) {
     // Shadow coherence (DESIGN.md §13): the offload table holds COPIES, so
     // each slot is checked against its owner — live owner, identical action
     // snapshot, and hits <= owner packets (every slot hit also bumps the
     // owner, so a slot claiming more traffic than its owner ever saw has a
     // corrupted counter). Repair is always the same: flush the slot.
-    std::unordered_map<const void*, size_t> live;
+    std::unordered_map<const MegaflowEntry*, size_t> live;
     live.reserve(flows.size());
     for (size_t i = 0; i < flows.size(); ++i) live.emplace(flows[i], i);
-    for (const DpBackend::OffloadSlot& s : be.offload_dump()) {
+    dp.offload()->for_each([&](const OffloadTable::Entry& s) {
       ++report.offload_checked;
-      const auto it = live.find(s.owner);
+      const auto owner = static_cast<const MegaflowEntry*>(s.owner);
+      const uint64_t hits = s.counters->hits.load(std::memory_order_relaxed);
+      const auto it = live.find(owner);
       if (it == live.end()) {
         ++report.offload_dangling;
-        report.offload_flush.push_back(s.owner);
+        report.offload_flush.push_back(owner);
         note(report, cfg, "offload: slot owner not among live flows");
-        continue;
+        return;
       }
-      if (!(*s.actions == be.flow_actions(flows[it->second]))) {
+      if (!(s.actions == flows[it->second]->actions())) {
         ++report.offload_stale_actions;
-        report.offload_flush.push_back(s.owner);
+        report.offload_flush.push_back(owner);
         note(report, cfg,
              "offload: stale action snapshot for " +
-                 be.flow_match(flows[it->second]).to_string());
-        continue;
+                 flows[it->second]->match().to_string());
+        return;
       }
-      if (s.hits > be.flow_packets(flows[it->second])) {
+      if (hits > flows[it->second]->packets()) {
         ++report.offload_stat_violations;
-        report.offload_flush.push_back(s.owner);
+        report.offload_flush.push_back(owner);
         note(report, cfg,
-             "offload: slot hits=" + std::to_string(s.hits) +
+             "offload: slot hits=" + std::to_string(hits) +
                  " > owner packets=" +
-                 std::to_string(be.flow_packets(flows[it->second])));
+                 std::to_string(flows[it->second]->packets()));
       }
-    }
+    });
   }
 
   if (cfg.check_stats) {
-    const Datapath::Stats s = be.stats();
+    const Datapath::Stats s = dp.stats();
     if (s.packets !=
         s.offload_hits + s.microflow_hits + s.megaflow_hits + s.misses) {
       ++report.stats_violations;
@@ -189,11 +191,11 @@ DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg) {
   return report;
 }
 
-size_t quarantine_flows(DpBackend& be, const DpCheckReport& report) {
-  for (DpBackend::FlowRef o : report.offload_flush) be.offload_evict(o);
-  if (!report.offload_flush.empty()) be.offload_commit();
-  for (DpBackend::FlowRef f : report.quarantine) be.remove(f);
-  if (!report.quarantine.empty()) be.purge_dead();
+size_t quarantine_flows(Datapath& dp, const DpCheckReport& report) {
+  for (const MegaflowEntry* o : report.offload_flush) dp.offload_evict(o);
+  if (!report.offload_flush.empty()) dp.offload_commit();
+  for (MegaflowEntry* f : report.quarantine) dp.remove(f);
+  if (!report.quarantine.empty()) dp.purge_dead();
   return report.quarantine.size();
 }
 

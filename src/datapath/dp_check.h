@@ -14,14 +14,14 @@
 //     action lists cannot misdeliver and are tallied separately as benign;
 //   * EMC -> megaflow coherence — every microflow hint must still resolve
 //     safely (a dead-but-unpurged target is legal, §6 corrects it on first
-//     use; a dangling one is not), via DpBackend::emc_dangling_hints();
+//     use; a dangling one is not), via Datapath::emc_dangling_hints();
 //   * stats conservation — packets == microflow_hits + megaflow_hits +
 //     misses; a broken ledger means a path was double- or un-counted.
 //
 // Runnable from tests, as a periodic background self-check in the fleet sim,
 // and as the post-reconciliation gate in Switch::restart(). Offending
 // entries are listed for quarantine (delete + count) rather than left to
-// misdeliver; quarantine_flows() applies the list for raw-backend callers,
+// misdeliver; quarantine_flows() applies the list for raw-datapath callers,
 // Switch::self_check() applies it with attribution cleanup.
 #pragma once
 
@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "datapath/dp_backend.h"
+#include "datapath/datapath.h"
 
 namespace ovs {
 
@@ -69,11 +69,11 @@ struct DpCheckReport {
   // Entries to delete, in dump order: the later entry of each offending
   // pair (the earlier one is what first-match semantics already serve) and
   // every duplicate beyond the first.
-  std::vector<DpBackend::FlowRef> quarantine;
-  // Offload slots to invalidate (listed by owner ref — possibly dangling,
+  std::vector<MegaflowEntry*> quarantine;
+  // Offload slots to invalidate (listed by owner — possibly dangling,
   // compared by address only): the repair for every offload violation is
   // evicting the slot, letting traffic fall back to the megaflow path.
-  std::vector<DpBackend::FlowRef> offload_flush;
+  std::vector<const MegaflowEntry*> offload_flush;
   std::vector<std::string> details;  // capped at cfg.max_details
 
   uint64_t violations() const noexcept {
@@ -84,13 +84,13 @@ struct DpCheckReport {
   bool ok() const noexcept { return violations() == 0; }
 };
 
-// Control-plane pass over a quiescent backend (same threading contract as
+// Control-plane pass over a quiescent datapath (same threading contract as
 // dump/revalidation: no concurrent mutation, workers outside batches).
-DpCheckReport run_dp_check(const DpBackend& be, const DpCheckConfig& cfg = {});
+DpCheckReport run_dp_check(const Datapath& dp, const DpCheckConfig& cfg = {});
 
 // Deletes every entry in report.quarantine. Returns the number removed.
-// Callers that keep per-flow state keyed on FlowRef (vswitchd attribution)
+// Callers that keep per-flow state keyed on the entry (vswitchd attribution)
 // must drop it themselves; see Switch::self_check().
-size_t quarantine_flows(DpBackend& be, const DpCheckReport& report);
+size_t quarantine_flows(Datapath& dp, const DpCheckReport& report);
 
 }  // namespace ovs

@@ -11,8 +11,8 @@
 //
 // The table itself is a passive single-threaded structure; placement policy
 // (which megaflows earn a slot) lives in vswitchd (Switch::revalidate), and
-// the sharded datapath publishes immutable clones RCU-style (the MT sharing
-// choice, DESIGN.md §13). Lookup cost is modeled as one flat
+// the datapath publishes immutable clones to its workers RCU-style (the MT
+// sharing choice, DESIGN.md §13). Lookup cost is modeled as one flat
 // CostModel::offload_probe regardless of the mask-group walk below — the
 // walk simulates a TCAM's parallel match, it does not price it.
 #pragma once
@@ -44,15 +44,15 @@ class OffloadTable {
     FlowMask mask;
     FlowKey key;        // pre-masked, like Match::key
     DpActions actions;  // snapshot of the owner's actions at install/sync
-    void* owner = nullptr;  // the owning megaflow (DpBackend::FlowRef)
+    void* owner = nullptr;  // the owning megaflow (a MegaflowEntry*)
     std::shared_ptr<OffloadCounters> counters;
     uint64_t installed_ns = 0;
   };
 
   explicit OffloadTable(size_t capacity) : capacity_(capacity) {}
 
-  // Deep-copies the slots but shares the per-slot counters: the RCU
-  // republication path on the sharded backend.
+  // Deep-copies the slots but shares the per-slot counters: the datapath's
+  // RCU republication path.
   std::unique_ptr<OffloadTable> clone() const;
 
   // First (and, megaflows being disjoint, only) matching slot; nullptr on

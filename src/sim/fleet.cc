@@ -35,7 +35,7 @@ class HypervisorSim {
     cfg.classifier.icmp_port_trie_bug = outlier;
     cfg.rx_batch = fleet.rx_batch;
     cfg.degradation.enabled = fleet.degradation;
-    cfg.datapath_workers = fleet.datapath_workers;
+    cfg.datapath.n_workers = std::max<size_t>(1, fleet.datapath_workers);
     cfg.revalidator_threads = fleet.revalidator_threads;
     cfg.offload_slots = fleet.offload_slots;
     cfg.ct_max_entries = fleet.ct_max_entries;
@@ -140,7 +140,7 @@ class HypervisorSim {
     const double seconds = fleet_.sim_seconds_per_interval;
     const double churn_rate = storm_on ? fleet_.storm_churn : churn_;
 
-    const auto dp0 = sw_->backend().stats();
+    const auto dp0 = sw_->datapath().stats();
     const uint64_t crashes0 = sw_->counters().userspace_crashes;
     const uint64_t blackout0 = sw_->counters().reconcile_blackout_cycles;
     const uint64_t dropped0 = sw_->counters().upcalls_dropped;
@@ -189,15 +189,15 @@ class HypervisorSim {
       sw_->cpu().user_cycles +=
           frac * (fleet_.daemon_fixed_cycles_per_sec +
                   fleet_.stats_poll_cycles_per_flow *
-                      static_cast<double>(sw_->backend().flow_count()));
-      flow_samples_.add(static_cast<double>(sw_->backend().flow_count()));
+                      static_cast<double>(sw_->datapath().flow_count()));
+      flow_samples_.add(static_cast<double>(sw_->datapath().flow_count()));
     }
 
     // Periodic background invariant self-check (DESIGN.md §9): sweep the
     // datapath at the interval boundary and quarantine any violators.
     if (fleet_.self_check) sw_->self_check();
 
-    const auto dp1 = sw_->backend().stats();
+    const auto dp1 = sw_->datapath().stats();
     // Charge the end-to-end userspace cost of the interval's flow setups
     // (see FleetConfig::flow_setup_user_cycles) before reading CPU deltas.
     sw_->cpu().user_cycles += fleet_.flow_setup_user_cycles *
@@ -237,8 +237,8 @@ class HypervisorSim {
         100.0 * m.seconds(sw_->cpu().user_cycles - user0) / seconds;
     out.kernel_cpu_pct =
         100.0 * m.seconds(sw_->cpu().kernel_cycles - kern0) / seconds;
-    out.flows = sw_->backend().flow_count();
-    out.dp_masks = sw_->backend().mask_count();
+    out.flows = sw_->datapath().flow_count();
+    out.dp_masks = sw_->datapath().mask_count();
     out.rules_rejected = sw_->counters().rules_rejected_mask_cap;
     return out;
   }

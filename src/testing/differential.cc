@@ -12,7 +12,7 @@ namespace ovs::fuzz {
 
 SwitchConfig DiffConfig::to_switch_config() const {
   SwitchConfig c;
-  c.datapath_workers = datapath_workers;
+  c.datapath.n_workers = workers;
   c.rx_batch = rx_batch;
   c.reval_mode = reval_mode;
   c.revalidator_threads = revalidator_threads;
@@ -30,32 +30,45 @@ SwitchConfig DiffConfig::to_switch_config() const {
   return c;
 }
 
+namespace {
+
+// "w1", "w4": configs are named by datapath worker count.
+std::string worker_label(size_t workers) {
+  std::string s = "w";
+  s += std::to_string(workers);
+  return s;
+}
+
+}  // namespace
+
 std::vector<DiffConfig> standard_configs() {
   std::vector<DiffConfig> out;
-  for (size_t workers : {size_t{0}, size_t{4}}) {
+  // Both worker counts: four shards see a different EMC state per burst
+  // than one does, so their hit/miss sequences (and upcall interleavings)
+  // differ even though forwarding must not.
+  for (size_t workers : {size_t{1}, size_t{4}}) {
     for (size_t rx : {size_t{1}, size_t{8}}) {
       for (RevalidationMode m :
            {RevalidationMode::kFull, RevalidationMode::kTwoTier}) {
         DiffConfig c;
-        c.name = std::string(workers == 0 ? "single" : "sharded") +
-                 (rx == 1 ? "/per-pkt" : "/batched") +
-                 (m == RevalidationMode::kFull ? "/full" : "/two-tier");
-        c.datapath_workers = workers;
+        c.name = worker_label(workers);
+        c.name += rx == 1 ? "/per-pkt" : "/batched";
+        c.name += m == RevalidationMode::kFull ? "/full" : "/two-tier";
+        c.workers = workers;
         c.rx_batch = rx;
         c.reval_mode = m;
         out.push_back(std::move(c));
       }
     }
   }
-  // Offload-on points, one per backend: a small table (16 slots) keeps
+  // Offload-on points, one per worker count: a small table (16 slots) keeps
   // placement churning (install/evict/challenge) even in short scenarios,
   // which is where a stale or dangling slot would show up as a trace or
   // probe divergence against the cache-free oracle.
-  for (size_t workers : {size_t{0}, size_t{4}}) {
+  for (size_t workers : {size_t{1}, size_t{4}}) {
     DiffConfig c;
-    c.name = std::string(workers == 0 ? "single" : "sharded") +
-             "/batched/two-tier/offload";
-    c.datapath_workers = workers;
+    c.name = worker_label(workers) + "/batched/two-tier/offload";
+    c.workers = workers;
     c.rx_batch = 8;
     c.offload_slots = 16;
     out.push_back(std::move(c));
@@ -74,12 +87,12 @@ std::vector<DiffConfig> engine_configs() {
       c.engine = e;
       out.push_back(std::move(c));
     }
-    // One sharded point per engine: the engines' lookups must stay sound
-    // under the multi-worker datapath's upcall interleavings too.
+    // One four-worker point per engine: the engines' lookups must stay
+    // sound under the multi-worker datapath's upcall interleavings too.
     DiffConfig c;
     c.name = std::string("engine-") + classifier_engine_name(e) +
-             "/sharded/batched";
-    c.datapath_workers = 4;
+             "/w4/batched";
+    c.workers = 4;
     c.rx_batch = 8;
     c.engine = e;
     out.push_back(std::move(c));
@@ -101,14 +114,14 @@ std::vector<DiffConfig> engine_configs() {
 
 DiffConfig tags_ablation_config() {
   DiffConfig c;
-  c.name = "single/per-pkt/TAGS-ABLATION";
+  c.name = "w1/per-pkt/TAGS-ABLATION";
   c.reval_mode = RevalidationMode::kTags;
   return c;
 }
 
 DiffConfig ct_ablation_config() {
   DiffConfig c;
-  c.name = "single/per-pkt/CT-ABLATION";
+  c.name = "w1/per-pkt/CT-ABLATION";
   c.ct_reval_dirty = false;
   return c;
 }

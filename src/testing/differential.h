@@ -41,7 +41,7 @@ namespace ovs::fuzz {
 // semantics the switch supports must agree with the one oracle.
 struct DiffConfig {
   std::string name;
-  size_t datapath_workers = 0;  // 0 = single-threaded Datapath, >=2 sharded
+  size_t workers = 1;           // datapath forwarding workers (EMC shards)
   size_t rx_batch = 1;          // 1 = per-packet inject, >1 = inject_batch
   RevalidationMode reval_mode = RevalidationMode::kTwoTier;
   size_t revalidator_threads = 1;
@@ -68,8 +68,8 @@ struct DiffConfig {
   SwitchConfig to_switch_config() const;
 };
 
-// The 10 sound configurations: {single, sharded} x {per-packet, batched}
-// x {kFull, kTwoTier}, plus one offload-on point per backend.
+// The 10 sound configurations: {w1, w4} workers x {per-packet, batched}
+// x {kFull, kTwoTier}, plus one offload-on point per worker count.
 std::vector<DiffConfig> standard_configs();
 
 // The non-reference classifier engine (chained-tuple) crossed with the

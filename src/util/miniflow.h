@@ -1,7 +1,7 @@
 // Miniflow-style sparse hashing over mask-active flow words, shared by every
 // structure that keys a hash table by a masked FlowKey: classifier subtables
-// (all engines), the sharded datapath's megaflow tuples, and the EMC
-// tuple-index hints. Real flow masks touch 2-5 of the 15 key words, so each
+// (all engines), the datapath's megaflow tuples, and the NIC offload
+// table's mask groups. Real flow masks touch 2-5 of the 15 key words, so each
 // consumer precomputes which words carry mask bits once per mask and then
 // hashes/compares only those.
 //

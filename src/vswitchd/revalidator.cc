@@ -15,21 +15,20 @@ struct PartStats {
   double cycles = 0;
 };
 
-// One partition of the plan phase. Read-only against the backend and the
+// One partition of the plan phase. Read-only against the datapath and the
 // pipeline (translate with side_effects=false), so partitions are
 // embarrassingly parallel; each writes decisions only at its own indices.
-PartStats plan_range(DpBackend& be, Pipeline& pl,
-                     const std::vector<DpBackend::FlowRef>& flows, size_t lo,
-                     size_t hi, uint64_t now_ns,
+PartStats plan_range(Pipeline& pl, const std::vector<MegaflowEntry*>& flows,
+                     size_t lo, size_t hi, uint64_t now_ns,
                      const Revalidator::Config& cfg,
                      std::vector<RevalDecision>& decisions) {
   PartStats ps;
   for (size_t i = lo; i < hi; ++i) {
-    DpBackend::FlowRef f = flows[i];
+    const MegaflowEntry* f = flows[i];
     RevalDecision& d = decisions[i];
     ++ps.examined;
     ps.cycles += cfg.reval_per_flow;
-    if (now_ns - be.flow_used_ns(f) > cfg.idle_ns) {
+    if (now_ns - f->used_ns() > cfg.idle_ns) {
       d.kind = RevalDecision::Kind::kDeleteIdle;
       continue;
     }
@@ -37,7 +36,7 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
       d.kind = RevalDecision::Kind::kSkipClean;
       continue;
     }
-    if (cfg.use_tags && (be.flow_tags(f) & cfg.changed_tags) == 0 &&
+    if (cfg.use_tags && (f->tags & cfg.changed_tags) == 0 &&
         (cfg.ct_stale.empty() || cfg.ct_stale[i] == 0)) {
       // Tier 1 (§4.3): untouched tags and connections mean this flow's
       // translation inputs cannot have changed — modulo Bloom false
@@ -49,14 +48,14 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
       continue;
     }
     // Tier 2: full re-translation through the current tables. Translate
-    // the full-fidelity install-time key, not flow_match(f).key: the
+    // the full-fidelity install-time key, not f->match().key: the
     // latter is pre-masked, and a masked key can re-derive the entry's own
     // stale mask (fields the mask wildcards read as zero, steering the
     // classifier's prefix cuts the same wrong way), turning a stale
     // over-broad flow into a kKeepFresh fixed point that overlaps fresher
     // disjoint entries.
     XlateResult xr =
-        pl.translate(be.flow_full_key(f), now_ns, /*side_effects=*/false);
+        pl.translate(f->full_key(), now_ns, /*side_effects=*/false);
     ps.cycles += cfg.per_table_lookup * xr.table_lookups;
     ++ps.retranslated;
     // The installed mask must match every field the fresh translation
@@ -67,7 +66,7 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
     // on its port; once a rule exists, re-translating its witness packet
     // still yields drop, but the fresh mask now pins the fields that
     // prove the miss.
-    const FlowMask& inst_mask = be.flow_match(f).mask;
+    const FlowMask& inst_mask = f->match().mask;
     bool covers = true;
     for (size_t w = 0; w < kFlowWords; ++w) {
       if ((xr.megaflow.mask.w[w] & ~inst_mask.w[w]) != 0) {
@@ -75,7 +74,7 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
         break;
       }
     }
-    if (covers && xr.actions == be.flow_actions(f)) {
+    if (covers && xr.actions == f->actions()) {
       d.kind = RevalDecision::Kind::kKeepFresh;
       d.xr = std::move(xr);
     } else if (xr.megaflow.mask == inst_mask) {
@@ -90,8 +89,8 @@ PartStats plan_range(DpBackend& be, Pipeline& pl,
 
 }  // namespace
 
-RevalPassStats Revalidator::plan(DpBackend& be, Pipeline& pl,
-                                 const std::vector<DpBackend::FlowRef>& flows,
+RevalPassStats Revalidator::plan(Pipeline& pl,
+                                 const std::vector<MegaflowEntry*>& flows,
                                  uint64_t now_ns, const Config& cfg,
                                  std::vector<RevalDecision>* decisions) {
   decisions->assign(flows.size(), RevalDecision{});
@@ -103,7 +102,7 @@ RevalPassStats Revalidator::plan(DpBackend& be, Pipeline& pl,
 
   std::vector<PartStats> parts(n_threads);
   if (n_threads == 1) {
-    parts[0] = plan_range(be, pl, flows, 0, flows.size(), now_ns, cfg,
+    parts[0] = plan_range(pl, flows, 0, flows.size(), now_ns, cfg,
                           *decisions);
   } else {
     const size_t chunk = (flows.size() + n_threads - 1) / n_threads;
@@ -115,10 +114,10 @@ RevalPassStats Revalidator::plan(DpBackend& be, Pipeline& pl,
       if (lo == hi) continue;
       pool.emplace_back([&, t, lo, hi] {
         parts[t] =
-            plan_range(be, pl, flows, lo, hi, now_ns, cfg, *decisions);
+            plan_range(pl, flows, lo, hi, now_ns, cfg, *decisions);
       });
     }
-    parts[0] = plan_range(be, pl, flows, 0, std::min(flows.size(), chunk),
+    parts[0] = plan_range(pl, flows, 0, std::min(flows.size(), chunk),
                           now_ns, cfg, *decisions);
     for (std::thread& th : pool) th.join();
   }

@@ -15,7 +15,7 @@
 //   * apply — the control thread walks the verdicts in dump order and
 //     performs every mutation: batched deletes, RCU action swaps
 //     (update_actions), attribution refresh, statistics pushes. Keeping all
-//     writes on one thread preserves the backends' single-writer contract
+//     writes on one thread preserves the datapath's single-writer contract
 //     and makes the pass outcome independent of the thread count.
 //
 // Cycle accounting separates *work* (total_cycles, summed over partitions —
@@ -27,7 +27,7 @@
 #include <span>
 #include <vector>
 
-#include "datapath/dp_backend.h"
+#include "datapath/datapath.h"
 #include "ofproto/pipeline.h"
 
 namespace ovs {
@@ -82,13 +82,12 @@ class Revalidator {
     double per_table_lookup = 0;
   };
 
-  // Plans one pass over `flows` (a backend dump). Thread-safe against
-  // concurrent fast-path traffic on the sharded backend; the caller must
-  // not mutate the backend or the pipeline until plan() returns. Decisions
-  // land at the flow's dump index, so the serial apply is deterministic
-  // regardless of n_threads.
-  static RevalPassStats plan(DpBackend& be, Pipeline& pl,
-                             const std::vector<DpBackend::FlowRef>& flows,
+  // Plans one pass over `flows` (a datapath dump). Thread-safe against
+  // concurrent fast-path traffic; the caller must not mutate the datapath
+  // or the pipeline until plan() returns. Decisions land at the flow's dump
+  // index, so the serial apply is deterministic regardless of n_threads.
+  static RevalPassStats plan(Pipeline& pl,
+                             const std::vector<MegaflowEntry*>& flows,
                              uint64_t now_ns, const Config& cfg,
                              std::vector<RevalDecision>* decisions);
 };

@@ -35,17 +35,17 @@ ConnTrackerConfig ct_config(const SwitchConfig& cfg) {
 Switch::Switch(SwitchConfig cfg)
     : cfg_(merge_offload(std::move(cfg))),
       pipeline_(cfg_.n_tables, cfg_.classifier, ct_config(cfg_)),
-      be_(make_dp_backend(cfg_.datapath, cfg_.datapath_workers)),
+      dp_(cfg_.datapath),
       effective_limit_(cfg_.flow_limit),
       queue_(cfg_.upcall_queue),
       fault_(cfg_.fault) {
   // Misses land in the bounded per-port fair queue at enqueue time; a
   // refusal here is counted by the datapath as an upcall drop (preserving
   // its misses == delivered + dropped conservation) and by the switch as
-  // an upcalls_dropped (the queue's per-port counters say why). On the
-  // sharded backend the sink runs under its upcall lock, so concurrent
-  // worker flushes are serialized before touching the queue.
-  be_->set_upcall_sink([this](Packet&& pkt) {
+  // an upcalls_dropped (the queue's per-port counters say why). The sink
+  // runs under the datapath's upcall lock, so concurrent worker flushes are
+  // serialized before touching the queue.
+  dp_.set_upcall_sink([this](Packet&& pkt) {
     // A crashed/reconciling daemon has no upcall listener: the kernel keeps
     // forwarding cached flows, but misses are refused until serving resumes
     // (the blackout a restart causes for NEW flows, DESIGN.md §9).
@@ -57,7 +57,13 @@ Switch::Switch(SwitchConfig cfg)
     ++counters_.upcalls_dropped;
     return false;
   });
-  be_->set_fault_injector(fault_);
+  dp_.set_fault_injector(fault_);
+}
+
+size_t Switch::next_worker() noexcept {
+  const size_t w = next_worker_;
+  next_worker_ = (w + 1) % dp_.n_workers();
+  return w;
 }
 
 void Switch::add_port(uint32_t port) { pipeline_.add_port(port); }
@@ -263,7 +269,7 @@ size_t Switch::inject_batch(std::span<const Packet> pkts, uint64_t now_ns) {
   if (pkts.empty()) return 0;
   results_.resize(pkts.size());
   Datapath::BatchSummary sum;
-  be_->process_batch(pkts, now_ns, results_.data(), &sum);
+  dp_.process_batch(next_worker(), pkts, now_ns, results_.data(), &sum);
 
   // Burst cost model: fixed dispatch overhead plus a reduced per-packet
   // cost; cache work is charged per *deduplicated* probe, which is where
@@ -286,7 +292,7 @@ size_t Switch::inject_batch(std::span<const Packet> pkts, uint64_t now_ns) {
 }
 
 Datapath::Path Switch::inject(const Packet& pkt, uint64_t now_ns) {
-  const Datapath::RxResult rx = be_->receive(pkt, now_ns);
+  const Datapath::RxResult rx = dp_.receive(pkt, now_ns, next_worker());
 
   // Kernel-side cycle accounting. An offload hit never reaches the CPU
   // cache hierarchy: it pays the per-packet descriptor cost and the slot
@@ -294,19 +300,19 @@ Datapath::Path Switch::inject(const Packet& pkt, uint64_t now_ns) {
   // probe whenever the tier is enabled — the NIC looked and missed.
   const CostModel& m = cfg_.cost;
   double cycles = m.per_packet;
-  if (be_->offload_enabled()) cycles += m.offload_probe;
+  if (dp_.offload() != nullptr) cycles += m.offload_probe;
   switch (rx.path) {
     case Datapath::Path::kOffloadHit:
       break;
     case Datapath::Path::kMicroflowHit:
-      if (be_->microflow_enabled()) cycles += m.microflow_probe;
+      if (cfg_.datapath.microflow_enabled) cycles += m.microflow_probe;
       break;
     case Datapath::Path::kMegaflowHit:
-      if (be_->microflow_enabled()) cycles += m.microflow_probe;
+      if (cfg_.datapath.microflow_enabled) cycles += m.microflow_probe;
       cycles += m.per_tuple * rx.tuples_searched;
       break;
     case Datapath::Path::kMiss:
-      if (be_->microflow_enabled()) cycles += m.microflow_probe;
+      if (cfg_.datapath.microflow_enabled) cycles += m.microflow_probe;
       cycles += m.per_tuple * rx.tuples_searched + m.miss_kernel;
       break;
   }
@@ -331,8 +337,8 @@ Switch::InstallResult Switch::install_from_xlate(const XlateResult& xr,
     for (size_t i = 0; i < kFlowWords; ++i) match.mask.w[i] = ~uint64_t{0};
     match.key = pkt.key;
   }
-  const size_t before = be_->flow_count();
-  DpBackend::FlowRef e = be_->install(match, xr.actions, now_ns, &pkt.key);
+  const size_t before = dp_.flow_count();
+  MegaflowEntry* e = dp_.install(match, xr.actions, now_ns, &pkt.key);
   if (e == nullptr) {
     // Kernel refused the flow (table full, transient fault). The miss
     // packet was still forwarded by userspace; only the cache entry is
@@ -341,9 +347,9 @@ Switch::InstallResult Switch::install_from_xlate(const XlateResult& xr,
     cpu_.user_cycles += cfg_.cost.install_fail;
     return InstallResult::kFailed;
   }
-  be_->set_flow_tags(e, xr.tags);
+  e->tags = xr.tags;
   InstallResult res;
-  if (be_->flow_count() > before) {
+  if (dp_.flow_count() > before) {
     ++counters_.flow_setups;
     Attribution& at = attribution_[e];
     at.rules = xr.matched_rules;
@@ -356,7 +362,7 @@ Switch::InstallResult Switch::install_from_xlate(const XlateResult& xr,
   }
   // The miss packet is forwarded by userspace on the flow's behalf; it
   // counts toward the flow's statistics like any other packet.
-  be_->credit_packet(e, pkt, now_ns);
+  dp_.credit_packet(e, pkt, now_ns);
   return res;
 }
 
@@ -407,15 +413,15 @@ size_t Switch::process_retries(uint64_t now_ns) {
 void Switch::maybe_inject_entry_faults() {
   if (fault_ == nullptr) return;
   if (fault_->should_fire(FaultPoint::kEntryCorrupt) &&
-      be_->flow_count() > 0) {
-    be_->corrupt_entry(fault_->pick(be_->flow_count()));
+      dp_.flow_count() > 0) {
+    dp_.corrupt_entry(fault_->pick(dp_.flow_count()));
     // Corruption bypasses the pipeline generation: force the next
     // revalidation to re-translate everything so it repairs the entry.
     reval_force_full_ = true;
   }
   if (fault_->should_fire(FaultPoint::kEntryExpire) &&
-      be_->flow_count() > 0) {
-    be_->expire_entry(fault_->pick(be_->flow_count()));
+      dp_.flow_count() > 0) {
+    dp_.expire_entry(fault_->pick(dp_.flow_count()));
   }
 }
 
@@ -459,7 +465,7 @@ size_t Switch::handle_upcalls(uint64_t now_ns, size_t max_upcalls) {
   maybe_inject_entry_faults();
   // Delay-faulted upcalls surface into the fair queue now; they are
   // serviced on the next invocation (observably one round late).
-  be_->flush_delayed_upcalls();
+  dp_.flush_delayed_upcalls();
   return handled;
 }
 
@@ -512,7 +518,7 @@ void Switch::revalidate(uint64_t now_ns) {
                                    limit_scale_));
   }
 
-  const bool over_limit = be_->flow_count() > effective_limit_;
+  const bool over_limit = dp_.flow_count() > effective_limit_;
   // Above the maximum size, drop the idle time to force the table to
   // shrink (§6).
   const uint64_t idle_ns =
@@ -562,7 +568,7 @@ void Switch::revalidate(uint64_t now_ns) {
   rc.reval_per_flow = m.reval_per_flow;
   rc.per_table_lookup = m.per_table_lookup;
 
-  std::vector<DpBackend::FlowRef> flows = be_->dump();
+  std::vector<MegaflowEntry*> flows = dp_.dump();
   // A flow is ct-stale when a connection it consulted was stamped after its
   // translation started, the tracker was flushed since, or it has no
   // attribution (its dependencies are unknown). kTags keeps its historical
@@ -578,7 +584,7 @@ void Switch::revalidate(uint64_t now_ns) {
     }
   }
   rc.ct_stale = ct_stale_;
-  last_pass_ = Revalidator::plan(*be_, pipeline_, flows, now_ns, rc,
+  last_pass_ = Revalidator::plan(pipeline_, flows, now_ns, rc,
                                  &decisions_);
   counters_.reval_flows_examined += last_pass_.examined;
   counters_.reval_skipped_by_tags += last_pass_.skipped_by_tags;
@@ -596,13 +602,13 @@ void Switch::revalidate(uint64_t now_ns) {
   // Apply phase (serial, dump order): all mutations happen here, on the
   // control thread, so the outcome is independent of the thread count.
   for (size_t i = 0; i < flows.size(); ++i) {
-    DpBackend::FlowRef f = flows[i];
+    MegaflowEntry* f = flows[i];
     RevalDecision& d = decisions_[i];
     switch (d.kind) {
       case RevalDecision::Kind::kDeleteIdle:
         push_flow_stats(f, now_ns);  // final stats (validated internally)
         attribution_.erase(f);
-        be_->remove(f);
+        dp_.remove(f);
         ++counters_.reval_deleted_idle;
         break;
       case RevalDecision::Kind::kSkipClean:
@@ -619,14 +625,14 @@ void Switch::revalidate(uint64_t now_ns) {
       case RevalDecision::Kind::kKeepFresh:
         // Refresh the attribution (rule pointers may have been replaced)
         // and push pending stats against the CURRENT rules.
-        be_->set_flow_tags(f, d.xr.tags);
+        f->tags = d.xr.tags;
         refresh_attribution(f, std::move(d.xr));
         push_flow_stats(f, now_ns);
         break;
       case RevalDecision::Kind::kUpdateActions: {
         DpActions fresh = d.xr.actions;
-        be_->update_actions(f, std::move(fresh));  // RCU swap on sharded
-        be_->set_flow_tags(f, d.xr.tags);
+        dp_.update_actions(f, std::move(fresh));  // RCU swap
+        f->tags = d.xr.tags;
         refresh_attribution(f, std::move(d.xr));
         push_flow_stats(f, now_ns);
         ++counters_.reval_updated_actions;
@@ -634,7 +640,7 @@ void Switch::revalidate(uint64_t now_ns) {
       }
       case RevalDecision::Kind::kDeleteStale:
         attribution_.erase(f);
-        be_->remove(f);  // shape changed: let traffic re-establish it
+        dp_.remove(f);  // shape changed: let traffic re-establish it
         ++counters_.reval_deleted_stale;
         break;
     }
@@ -648,16 +654,16 @@ void Switch::revalidate(uint64_t now_ns) {
   // Hard eviction if still above the limit: oldest-used first, like
   // userspace "must be able to delete flows ... as quickly as it can
   // install new flows" (§6).
-  if (be_->flow_count() > effective_limit_) {
-    std::vector<DpBackend::FlowRef> live = be_->dump();
+  if (dp_.flow_count() > effective_limit_) {
+    std::vector<MegaflowEntry*> live = dp_.dump();
     std::sort(live.begin(), live.end(),
-              [this](DpBackend::FlowRef a, DpBackend::FlowRef b) {
-                return be_->flow_used_ns(a) < be_->flow_used_ns(b);
+              [](const MegaflowEntry* a, const MegaflowEntry* b) {
+                return a->used_ns() < b->used_ns();
               });
-    size_t excess = be_->flow_count() - effective_limit_;
+    size_t excess = dp_.flow_count() - effective_limit_;
     for (size_t i = 0; i < excess; ++i) {
       attribution_.erase(live[i]);
-      be_->remove(live[i]);
+      dp_.remove(live[i]);
       ++counters_.evicted_flow_limit;
     }
   }
@@ -665,11 +671,11 @@ void Switch::revalidate(uint64_t now_ns) {
   // Offload placement rides the same dump cadence as revalidation: the
   // EWMAs fold in this interval's measured per-flow traffic, then slots are
   // earned/revoked. Runs on the post-eviction survivor set, and before
-  // purge_dead() so the sharded backend's republish makes the slot changes
-  // visible in the same pass.
-  if (be_->offload_enabled()) offload_placement(be_->dump(), now_ns);
+  // purge_dead() so its republish makes the slot changes visible to the
+  // workers in the same pass.
+  if (dp_.offload() != nullptr) offload_placement(dp_.dump(), now_ns);
 
-  be_->purge_dead();  // grace period (also publishes offload changes)
+  dp_.purge_dead();  // grace period (also publishes offload changes)
 
   // Deadline check: AIMD the flow limit. A pass that blew the deadline
   // halves the table it will tolerate next time; a clean pass wins a
@@ -694,18 +700,18 @@ void Switch::revalidate(uint64_t now_ns) {
   }
 }
 
-void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
+void Switch::offload_placement(const std::vector<MegaflowEntry*>& flows,
                                uint64_t now_ns) {
-  if (!be_->offload_enabled()) return;
+  if (dp_.offload() == nullptr) return;
   const CostModel& m = cfg_.cost;
   const double alpha = cfg_.offload_ewma_alpha;
 
   // Fold this dump interval's per-flow packet deltas into the EWMAs. A
   // flow first seen this pass scores its lifetime count (it has exactly one
-  // interval of history). The delta guard covers FlowRef address reuse: a
+  // interval of history). The delta guard covers entry address reuse: a
   // recycled pointer inheriting a stale record must not wrap.
-  for (DpBackend::FlowRef f : flows) {
-    const uint64_t pkts = be_->flow_packets(f);
+  for (MegaflowEntry* f : flows) {
+    const uint64_t pkts = f->packets();
     auto [it, fresh] = offload_state_.try_emplace(f);
     OffloadState& st = it->second;
     const uint64_t delta =
@@ -714,13 +720,13 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
                     : alpha * static_cast<double>(delta) +
                           (1.0 - alpha) * st.ewma;
     st.last_packets = pkts;
-    st.offloaded = be_->offload_contains(f);
+    st.offloaded = dp_.offload()->contains(f);
   }
   // Drop records for flows that died since the last pass (idle/stale
-  // deletion, limit eviction, quarantine); the backend already invalidated
+  // deletion, limit eviction, quarantine); the datapath already invalidated
   // their slots when it removed them.
   {
-    std::unordered_set<DpBackend::FlowRef> live(flows.begin(), flows.end());
+    std::unordered_set<const MegaflowEntry*> live(flows.begin(), flows.end());
     for (auto it = offload_state_.begin(); it != offload_state_.end();) {
       if (live.count(it->first) == 0)
         it = offload_state_.erase(it);
@@ -730,7 +736,7 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
   }
 
   struct Ranked {
-    DpBackend::FlowRef f;
+    MegaflowEntry* f;
     double ewma;
   };
   std::vector<Ranked> incumbents, challengers;
@@ -743,17 +749,17 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
   // Decayed-cold incumbents lose their slot even with no challenger: a slot
   // earning fewer than offload_min_ewma packets per interval is dead NIC
   // capacity.
-  for (DpBackend::FlowRef f : flows) {
+  for (MegaflowEntry* f : flows) {
     OffloadState& st = offload_state_[f];
     if (st.offloaded && st.ewma < cfg_.offload_min_ewma) {
-      if (be_->offload_evict(f)) {
+      if (dp_.offload_evict(f)) {
         st.offloaded = false;
         ++counters_.offload_evicts;
         cpu_.user_cycles += m.offload_evict;
       }
     }
   }
-  for (DpBackend::FlowRef f : flows) {
+  for (MegaflowEntry* f : flows) {
     const OffloadState& st = offload_state_[f];
     if (st.offloaded)
       incumbents.push_back({f, st.ewma});
@@ -767,8 +773,8 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
   // Free slots go to the hottest challengers outright.
   size_t ci = 0;
   while (ci < challengers.size() &&
-         be_->offload_size() < be_->offload_capacity()) {
-    if (be_->offload_install(challengers[ci].f, now_ns)) {
+         dp_.offload()->size() < dp_.offload()->capacity()) {
+    if (dp_.offload_install(challengers[ci].f, now_ns)) {
       offload_state_[challengers[ci].f].offloaded = true;
       ++counters_.offload_installs;
       cpu_.user_cycles += m.offload_install;
@@ -789,12 +795,12 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
     if (challengers[ci].ewma <=
         incumbents[ii].ewma * cfg_.offload_challenge_factor)
       break;  // sorted: no later pair can succeed either
-    if (be_->offload_evict(incumbents[ii].f)) {
+    if (dp_.offload_evict(incumbents[ii].f)) {
       offload_state_[incumbents[ii].f].offloaded = false;
       ++counters_.offload_evicts;
       cpu_.user_cycles += m.offload_evict;
     }
-    if (be_->offload_install(challengers[ci].f, now_ns)) {
+    if (dp_.offload_install(challengers[ci].f, now_ns)) {
       offload_state_[challengers[ci].f].offloaded = true;
       ++counters_.offload_installs;
       cpu_.user_cycles += m.offload_install;
@@ -805,34 +811,40 @@ void Switch::offload_placement(const std::vector<DpBackend::FlowRef>& flows,
 }
 
 void Switch::offload_reconcile() {
-  if (!be_->offload_enabled()) return;
+  if (dp_.offload() == nullptr) return;
   const CostModel& m = cfg_.cost;
   // Adopt-or-flush (DESIGN.md §13): the restarted daemon walks the NIC
   // state it did not program. A slot is adopted when its owner survived the
   // reconciliation ladder AND its snapshot matches the owner's (repaired)
-  // actions — which the backend's coherence hooks guarantee for every
+  // actions — which the datapath's coherence hooks guarantee for every
   // surviving owner, so a flush here means the coherence machinery failed
   // or the hardware state was tampered with. Adopted slots seed the
   // placement EWMA with their lifetime hit counts, so hot hardware flows
   // are not displaced by the first post-restart pass.
-  std::unordered_set<DpBackend::FlowRef> live;
-  for (DpBackend::FlowRef f : be_->dump()) live.insert(f);
-  for (const DpBackend::OffloadSlot& s : be_->offload_dump()) {
-    const bool coherent = live.count(s.owner) != 0 &&
-                          *s.actions == be_->flow_actions(s.owner);
-    if (coherent) {
-      OffloadState& st = offload_state_[s.owner];
-      st.offloaded = true;
-      st.last_packets = be_->flow_packets(s.owner);
-      st.ewma = std::max(st.ewma, static_cast<double>(s.hits));
-      ++counters_.offload_adopted;
-    } else {
-      be_->offload_evict(s.owner);
-      cpu_.user_cycles += m.offload_evict;
-      ++counters_.offload_flushed;
+  std::unordered_set<const MegaflowEntry*> live;
+  for (const MegaflowEntry* f : dp_.dump()) live.insert(f);
+  // Verdicts first: evicting while walking the table would invalidate it.
+  std::vector<const MegaflowEntry*> flush;
+  dp_.offload()->for_each([&](const OffloadTable::Entry& s) {
+    const auto* owner = static_cast<const MegaflowEntry*>(s.owner);
+    if (live.count(owner) == 0 || !(s.actions == owner->actions())) {
+      flush.push_back(owner);
+      return;
     }
+    OffloadState& st = offload_state_[owner];
+    st.offloaded = true;
+    st.last_packets = owner->packets();
+    st.ewma = std::max(
+        st.ewma,
+        static_cast<double>(s.counters->hits.load(std::memory_order_relaxed)));
+    ++counters_.offload_adopted;
+  });
+  for (const MegaflowEntry* owner : flush) {
+    dp_.offload_evict(owner);
+    cpu_.user_cycles += m.offload_evict;
+    ++counters_.offload_flushed;
   }
-  be_->offload_commit();
+  dp_.offload_commit();
 }
 
 // EMC thrash (§7.3): insert attempts far outrunning microflow hits — every
@@ -867,7 +879,7 @@ DetectorSignal DegradationConfig::ct_pressure_signal(
 void Switch::update_emc_policy() {
   const DegradationConfig& d = cfg_.degradation;
   if (!d.enabled) return;
-  const Datapath::Stats s = be_->stats();
+  const Datapath::Stats s = dp_.stats();
   const uint64_t attempts_now = s.emc_inserts + s.emc_insert_skips;
   const uint64_t attempts = attempts_now - emc_attempts_seen_;
   const uint64_t hits = s.microflow_hits - emc_hits_seen_;
@@ -877,11 +889,11 @@ void Switch::update_emc_policy() {
   // the thrash holds, insertion simply stays probabilistic.
   switch (emc_thrash_.update(d.emc_thrash_signal(attempts, hits))) {
     case HysteresisLatch::Edge::kEngage:
-      be_->set_emc_insert_inv_prob(d.emc_degraded_inv_prob);
+      dp_.set_emc_insert_inv_prob(d.emc_degraded_inv_prob);
       ++counters_.emc_degrade_engaged;
       break;
     case HysteresisLatch::Edge::kRelease:
-      be_->set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
+      dp_.set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
       break;
     default:
       break;
@@ -911,7 +923,7 @@ void Switch::update_cls_policy() {
   // its counters are the detector's input — the userspace classifier shape
   // is visible via cls_subtables() but is bounded by admission/partitioning
   // upstream.
-  const Datapath::Stats s = be_->stats();
+  const Datapath::Stats s = dp_.stats();
   const uint64_t dpkts = s.packets - dp_packets_seen_;
   const uint64_t dtuples = s.tuples_searched - dp_tuples_seen_;
   dp_packets_seen_ = s.packets;
@@ -923,7 +935,7 @@ void Switch::update_cls_policy() {
                   (1.0 - d.mask_probe_ewma_alpha) * probe_ewma_;
   }
   if (backoff_on(mask_explosion_,
-                 d.mask_explosion_signal(be_->mask_count(), probe_ewma_)))
+                 d.mask_explosion_signal(dp_.mask_count(), probe_ewma_)))
     ++counters_.mask_explosion_engaged;
 }
 
@@ -952,22 +964,22 @@ size_t Switch::cls_max_probe_depth() const noexcept {
   return n;
 }
 
-void Switch::refresh_attribution(DpBackend::FlowRef f, XlateResult&& xr) {
+void Switch::refresh_attribution(const MegaflowEntry* f, XlateResult&& xr) {
   Attribution& at = attribution_[f];
   at.rules = std::move(xr.matched_rules);
   at.captured_gen = pipeline_.tables_generation();
   at.ct = xr.ct;
 }
 
-void Switch::adopt_attribution(DpBackend::FlowRef f, XlateResult&& xr) {
+void Switch::adopt_attribution(const MegaflowEntry* f, XlateResult&& xr) {
   Attribution& at = attribution_[f];
   at.rules = std::move(xr.matched_rules);
   at.captured_gen = pipeline_.tables_generation();
   at.ct = xr.ct;
   // The rebuilt rules' statistics start from zero; pre-adoption traffic
   // belongs to the previous daemon incarnation and must not be replayed.
-  at.pushed_packets = be_->flow_packets(f);
-  at.pushed_bytes = be_->flow_bytes(f);
+  at.pushed_packets = f->packets();
+  at.pushed_bytes = f->bytes();
 }
 
 void Switch::crash() {
@@ -1003,8 +1015,8 @@ void Switch::crash() {
   limit_scale_ = 1.0;
   effective_limit_ = cfg_.flow_limit;
   emc_thrash_.reset();
-  be_->set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
-  const Datapath::Stats s = be_->stats();
+  dp_.set_emc_insert_inv_prob(cfg_.datapath.emc_insert_inv_prob);
+  const Datapath::Stats s = dp_.stats();
   emc_attempts_seen_ = s.emc_inserts + s.emc_insert_skips;
   emc_hits_seen_ = s.microflow_hits;
   mask_explosion_.reset();
@@ -1056,7 +1068,7 @@ bool Switch::restart(uint64_t now_ns) {
   // the crash-time tags died with the daemon, so every flow re-translates
   // against the rebuilt tables. Plan parallelizes across revalidator
   // threads; the apply below is serial in dump order, which is what makes
-  // the outcome independent of the thread count and the backend.
+  // the outcome independent of the revalidator and worker thread counts.
   force_full_revalidation();
   Revalidator::Config rc;
   rc.n_threads = std::max<size_t>(1, cfg_.revalidator_threads);
@@ -1067,8 +1079,8 @@ bool Switch::restart(uint64_t now_ns) {
   rc.reval_per_flow = m.reval_per_flow;
   rc.per_table_lookup = m.per_table_lookup;
 
-  const std::vector<DpBackend::FlowRef> flows = be_->dump();
-  last_pass_ = Revalidator::plan(*be_, pipeline_, flows, now_ns, rc,
+  const std::vector<MegaflowEntry*> flows = dp_.dump();
+  last_pass_ = Revalidator::plan(pipeline_, flows, now_ns, rc,
                                  &decisions_);
   counters_.reval_flows_examined += last_pass_.examined;
   const double sync_cycles =
@@ -1078,37 +1090,37 @@ bool Switch::restart(uint64_t now_ns) {
   blackout_cycles += last_pass_.total_cycles + sync_cycles;
 
   for (size_t i = 0; i < flows.size(); ++i) {
-    DpBackend::FlowRef f = flows[i];
+    MegaflowEntry* f = flows[i];
     RevalDecision& d = decisions_[i];
     switch (d.kind) {
       case RevalDecision::Kind::kDeleteIdle:
         // Sat idle through the blackout; no attribution exists yet.
-        be_->remove(f);
+        dp_.remove(f);
         ++counters_.reval_deleted_idle;
         break;
       case RevalDecision::Kind::kSkipClean:
       case RevalDecision::Kind::kSkipTags:
         break;  // unreachable: maybe_stale && !use_tags
       case RevalDecision::Kind::kKeepFresh:
-        be_->set_flow_tags(f, d.xr.tags);
+        f->tags = d.xr.tags;
         adopt_attribution(f, std::move(d.xr));
         ++counters_.flows_adopted;
         break;
       case RevalDecision::Kind::kUpdateActions: {
         DpActions fresh = d.xr.actions;
-        be_->update_actions(f, std::move(fresh));
-        be_->set_flow_tags(f, d.xr.tags);
+        dp_.update_actions(f, std::move(fresh));
+        f->tags = d.xr.tags;
         adopt_attribution(f, std::move(d.xr));
         ++counters_.flows_repaired;
         break;
       }
       case RevalDecision::Kind::kDeleteStale:
-        be_->remove(f);
+        dp_.remove(f);
         ++counters_.reval_deleted_stale;
         break;
     }
   }
-  be_->purge_dead();
+  dp_.purge_dead();
 
   // Adopt-or-flush the surviving offload table through the same ladder
   // (DESIGN.md §13) before the invariant gate judges it.
@@ -1136,29 +1148,29 @@ bool Switch::restart(uint64_t now_ns) {
 }
 
 DpCheckReport Switch::self_check() {
-  DpCheckReport rep = run_dp_check(*be_);
+  DpCheckReport rep = run_dp_check(dp_);
   cpu_.user_cycles +=
       cfg_.cost.dp_check_per_flow * static_cast<double>(rep.flows_checked);
   // Incoherent offload slots are flushed (the megaflow path serves the
   // traffic correctly); quarantined flows below drop their slots through
-  // the backend's remove() hook.
-  for (DpBackend::FlowRef o : rep.offload_flush) {
-    if (be_->offload_evict(o)) {
+  // the datapath's remove() hook.
+  for (const MegaflowEntry* o : rep.offload_flush) {
+    if (dp_.offload_evict(o)) {
       ++counters_.offload_evicts;
       cpu_.user_cycles += cfg_.cost.offload_evict;
     }
   }
-  if (!rep.offload_flush.empty()) be_->offload_commit();
-  for (DpBackend::FlowRef f : rep.quarantine) {
+  if (!rep.offload_flush.empty()) dp_.offload_commit();
+  for (MegaflowEntry* f : rep.quarantine) {
     attribution_.erase(f);
-    be_->remove(f);
+    dp_.remove(f);
     ++counters_.flows_quarantined;
   }
-  if (!rep.quarantine.empty()) be_->purge_dead();
+  if (!rep.quarantine.empty()) dp_.purge_dead();
   return rep;
 }
 
-void Switch::push_flow_stats(DpBackend::FlowRef f, uint64_t now_ns) {
+void Switch::push_flow_stats(const MegaflowEntry* f, uint64_t now_ns) {
   auto it = attribution_.find(f);
   if (it == attribution_.end()) return;
   Attribution& at = it->second;
@@ -1168,8 +1180,8 @@ void Switch::push_flow_stats(DpBackend::FlowRef f, uint64_t now_ns) {
   // pointers — leave statistics flowing; this is what makes the kTwoTier
   // skip path able to push stats for flows it never re-translated.
   if (at.captured_gen != pipeline_.tables_generation()) return;
-  const uint64_t dp_pkts = be_->flow_packets(f);
-  const uint64_t dp_bytes = be_->flow_bytes(f);
+  const uint64_t dp_pkts = f->packets();
+  const uint64_t dp_bytes = f->bytes();
   if (dp_pkts == at.pushed_packets) return;
   const uint64_t dpkts = dp_pkts - at.pushed_packets;
   const uint64_t dbytes = dp_bytes - at.pushed_bytes;

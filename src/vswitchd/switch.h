@@ -23,7 +23,6 @@
 //   ... every second: sw.run_maintenance(clock.now());
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -33,7 +32,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "datapath/dp_backend.h"
+#include "datapath/datapath.h"
 #include "datapath/dp_check.h"
 #include "ofproto/pipeline.h"
 #include "sim/clock.h"
@@ -52,8 +51,7 @@ enum class RevalidationMode : uint8_t {
              // statistics (attribution survives MAC-only changes)
 };
 
-// Crash/restart lifecycle (DESIGN.md §9). The kernel datapath — the backend
-// — survives a userspace crash and keeps forwarding its cached megaflows;
+// Crash/restart lifecycle (DESIGN.md §9). The kernel datapath survives a userspace crash and keeps forwarding its cached megaflows;
 // the daemon's own state (tables, queues, attribution, degradation) dies.
 //
 //   kServing ──crash()──▶ kCrashed ──restart()──▶ kReconciling ──▶ kServing
@@ -176,13 +174,11 @@ class FaultInjector;
 struct SwitchConfig {
   size_t n_tables = 8;
   ClassifierConfig classifier;  // userspace tables (Table 1 toggles these)
+  // The kernel datapath, including its forwarding worker count
+  // (datapath.n_workers: per-worker EMC shards over one RCU megaflow table,
+  // §4.1). The switch drives the workers itself, one burst per worker in
+  // rotation, modeling N rx queues polled by N PMDs.
   DatapathConfig datapath;
-
-  // Datapath backend selection: 0 or 1 keeps the single-threaded
-  // `Datapath`; >= 2 runs a `ShardedDatapath` with this many forwarding
-  // worker slots (per-worker EMC shards over one RCU megaflow table, §4.1),
-  // configured from `datapath` via make_dp_backend().
-  size_t datapath_workers = 0;
 
   // Revalidator plan-phase threads (§4.3: "dividing flows among revalidator
   // threads"). 1 = the historical serial pass; the apply phase is always
@@ -299,17 +295,12 @@ class Switch {
   // ovs-appctl "revalidator purge" analogue; also set by entry-fault
   // injection, whose corruption bypasses the generation counters).
   void force_full_revalidation() noexcept { reval_force_full_ = true; }
-  // The datapath seam: valid for either backend. Use this for stats /
-  // flow_count / upcall introspection.
-  DpBackend& backend() noexcept { return *be_; }
-  const DpBackend& backend() const noexcept { return *be_; }
-  // Legacy accessor for the single-threaded backend (datapath_workers <= 1);
-  // asserts when the switch runs sharded. Prefer backend().
-  Datapath& datapath() noexcept {
-    Datapath* dp = be_->single();
-    assert(dp != nullptr && "datapath(): switch is running sharded; use backend()");
-    return *dp;
-  }
+  // The kernel datapath, valid at any worker count. backend() is the older
+  // name for the same object.
+  Datapath& datapath() noexcept { return dp_; }
+  const Datapath& datapath() const noexcept { return dp_; }
+  Datapath& backend() noexcept { return dp_; }
+  const Datapath& backend() const noexcept { return dp_; }
   const SwitchConfig& config() const noexcept { return cfg_; }
 
   // ovs-ofctl-style text interface (see ofproto/flow_parser.h). Returns an
@@ -403,7 +394,7 @@ class Switch {
   // Simulated daemon death. Snapshots the durable config (ports + OpenFlow
   // rules — the OVSDB role, §3.3), counts queued upcalls as dropped and
   // pending retries as abandoned so the slow-path ledgers stay balanced,
-  // and discards all other userspace state. The datapath backend is
+  // and discards all other userspace state. The datapath is
   // untouched: it keeps forwarding from its surviving megaflow cache.
   // No-op unless currently serving.
   void crash();
@@ -567,6 +558,9 @@ class Switch {
   // answers whether it may proceed; refresh rebuilds the per-tenant mask
   // fingerprints when a table mutation invalidated them.
   bool admit_flow(const Match& match);
+  // Worker shard for the next burst: bursts rotate across the workers, so
+  // every EMC shard sees the intra-burst dedup a real PMD would.
+  size_t next_worker() noexcept;
   void refresh_tenant_masks();
   // Tuple-explosion detector, evaluated per maintenance interval.
   void update_cls_policy();
@@ -576,7 +570,7 @@ class Switch {
   // Offload placement (DESIGN.md §13): folds this dump interval's per-flow
   // packet deltas into the EWMAs, then programs/evicts slots. Runs inside
   // revalidate() after the apply phase and inside restart() reconciliation.
-  void offload_placement(const std::vector<DpBackend::FlowRef>& flows,
+  void offload_placement(const std::vector<MegaflowEntry*>& flows,
                          uint64_t now_ns);
   // Restart reconciliation for the offload table: slots whose owner
   // survived the ladder are adopted (their hit totals seed the EWMA so hot
@@ -600,13 +594,13 @@ class Switch {
     // actions: revalidate() re-translates the flow when one of them changed.
     CtDeps ct;
   };
-  void push_flow_stats(DpBackend::FlowRef f, uint64_t now_ns);
-  void refresh_attribution(DpBackend::FlowRef f, XlateResult&& xr);
+  void push_flow_stats(const MegaflowEntry* f, uint64_t now_ns);
+  void refresh_attribution(const MegaflowEntry* f, XlateResult&& xr);
   // Reconciliation variant: seeds the pushed counters at the flow's current
   // datapath totals, so traffic forwarded before/through the blackout is
   // not re-credited to the rebuilt OpenFlow rules (their stats restart
   // from zero; only post-adoption deltas flow).
-  void adopt_attribution(DpBackend::FlowRef f, XlateResult&& xr);
+  void adopt_attribution(const MegaflowEntry* f, XlateResult&& xr);
 
   struct RetryEntry {
     Packet pkt;
@@ -616,8 +610,9 @@ class Switch {
 
   SwitchConfig cfg_;
   Pipeline pipeline_;
-  std::unique_ptr<DpBackend> be_;
-  std::unordered_map<DpBackend::FlowRef, Attribution> attribution_;
+  Datapath dp_;
+  size_t next_worker_ = 0;  // worker shard for the next burst (rotation)
+  std::unordered_map<const MegaflowEntry*, Attribution> attribution_;
   OutputFn output_;
   ControllerFn controller_hook_;
   TraceFn trace_;
@@ -681,10 +676,10 @@ class Switch {
   // erased when the flow is removed.
   struct OffloadState {
     double ewma = 0.0;          // smoothed packets per dump interval
-    uint64_t last_packets = 0;  // flow_packets() at the previous dump
-    bool offloaded = false;     // mirror of backend offload_contains()
+    uint64_t last_packets = 0;  // packets() at the previous dump
+    bool offloaded = false;     // mirror of the offload table's contains()
   };
-  std::unordered_map<DpBackend::FlowRef, OffloadState> offload_state_;
+  std::unordered_map<const MegaflowEntry*, OffloadState> offload_state_;
 };
 
 }  // namespace ovs

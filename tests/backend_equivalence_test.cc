@@ -1,9 +1,9 @@
-// Backend equivalence property tests: the same trace driven through a
-// Switch over the single-threaded Datapath and a Switch over the sharded
-// multi-worker datapath must produce the same control-plane outcome — the
-// identical megaflow set (match + actions), the same flow setups, the same
-// forwarding counters and port statistics. Only *where* cache hits land
-// (EMC shard vs shared megaflow table) may differ between backends.
+// Worker-count equivalence property tests: the same trace driven through a
+// Switch whose datapath runs one worker and a Switch whose datapath runs
+// four (bursts rotating across four EMC shards) must produce the same
+// control-plane outcome — the identical megaflow set (match + actions), the
+// same flow setups, the same forwarding counters and port statistics. Only
+// *where* cache hits land (EMC shard vs shared megaflow table) may differ.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -23,7 +23,7 @@ using testutil::tcp_pkt;
 
 SwitchConfig make_config(size_t workers) {
   SwitchConfig cfg;
-  cfg.datapath_workers = workers;
+  cfg.datapath.n_workers = workers;
   return cfg;
 }
 
@@ -41,7 +41,7 @@ void install_rules(Switch& sw) {
 
 // The randomized trace: connection pool with churn, periodic upcall
 // handling and maintenance, and a mid-trace flow-table change so
-// revalidation has real repairs to publish on both backends.
+// revalidation has real repairs to publish at both worker counts.
 void drive_trace(Switch& sw, uint64_t seed, size_t n_pkts, size_t rx_batch) {
   Rng rng(seed);
   struct Conn {
@@ -88,7 +88,8 @@ void drive_trace(Switch& sw, uint64_t seed, size_t n_pkts, size_t rx_batch) {
     if ((i & 511) == 511) sw.run_maintenance(clock.now());
     if (i == n_pkts / 2) {
       // Reroute one /8 mid-trace: revalidation must repair the installed
-      // megaflows identically on both backends (same-shape action update).
+      // megaflows identically at both worker counts (same-shape action
+      // update).
       sw.table(0).add_flow(
           MatchBuilder().ip().nw_dst_prefix(Ipv4(12, 0, 0, 0), 8), 15,
           OfActions().output(5));
@@ -103,9 +104,9 @@ void expect_equivalent(Switch& a, Switch& b) {
   EXPECT_EQ(canonical_flows(a), canonical_flows(b));
   // Every replayed trace must also leave both caches invariant-clean
   // (pairwise-disjoint megaflows, coherent EMC, conserved stats).
-  EXPECT_TRUE(run_dp_check(a.backend()).ok());
-  EXPECT_TRUE(run_dp_check(b.backend()).ok());
-  EXPECT_EQ(a.backend().flow_count(), b.backend().flow_count());
+  EXPECT_TRUE(run_dp_check(a.datapath()).ok());
+  EXPECT_TRUE(run_dp_check(b.datapath()).ok());
+  EXPECT_EQ(a.datapath().flow_count(), b.datapath().flow_count());
   EXPECT_EQ(a.counters().flow_setups, b.counters().flow_setups);
   EXPECT_EQ(a.counters().setup_dups, b.counters().setup_dups);
   EXPECT_EQ(a.counters().tx_packets, b.counters().tx_packets);
@@ -116,12 +117,12 @@ void expect_equivalent(Switch& a, Switch& b) {
             b.counters().reval_updated_actions);
   EXPECT_EQ(a.counters().reval_deleted_stale,
             b.counters().reval_deleted_stale);
-  const Datapath::Stats sa = a.backend().stats();
-  const Datapath::Stats sb = b.backend().stats();
+  const Datapath::Stats sa = a.datapath().stats();
+  const Datapath::Stats sb = b.datapath().stats();
   EXPECT_EQ(sa.packets, sb.packets);
   EXPECT_EQ(sa.misses, sb.misses);
   // EMC vs megaflow hit split legitimately differs (per-worker shards),
-  // but every packet that is not a miss is a hit on both backends.
+  // but every packet that is not a miss is a hit at both worker counts.
   EXPECT_EQ(sa.microflow_hits + sa.megaflow_hits,
             sb.microflow_hits + sb.megaflow_hits);
   for (uint32_t port = 1; port <= 8; ++port) {
@@ -133,41 +134,41 @@ void expect_equivalent(Switch& a, Switch& b) {
 }
 
 TEST(BackendEquivalence, PerPacketTrace) {
-  Switch single(make_config(0));
-  Switch sharded(make_config(4));
-  install_rules(single);
-  install_rules(sharded);
-  drive_trace(single, 0xE9, 6000, 1);
-  drive_trace(sharded, 0xE9, 6000, 1);
-  EXPECT_EQ(single.backend().n_workers(), 1u);
-  EXPECT_EQ(sharded.backend().n_workers(), 4u);
-  ASSERT_NE(single.backend().flow_count(), 0u);
-  expect_equivalent(single, sharded);
+  Switch w1(make_config(1));
+  Switch w4(make_config(4));
+  install_rules(w1);
+  install_rules(w4);
+  drive_trace(w1, 0xE9, 6000, 1);
+  drive_trace(w4, 0xE9, 6000, 1);
+  EXPECT_EQ(w1.datapath().n_workers(), 1u);
+  EXPECT_EQ(w4.datapath().n_workers(), 4u);
+  ASSERT_NE(w1.datapath().flow_count(), 0u);
+  expect_equivalent(w1, w4);
 }
 
 TEST(BackendEquivalence, BatchedTrace) {
-  SwitchConfig c0 = make_config(0);
+  SwitchConfig c1 = make_config(1);
   SwitchConfig c4 = make_config(4);
-  c0.rx_batch = c4.rx_batch = 32;
-  Switch single(c0);
-  Switch sharded(c4);
-  install_rules(single);
-  install_rules(sharded);
-  drive_trace(single, 0x5EED, 6000, 32);
-  drive_trace(sharded, 0x5EED, 6000, 32);
-  ASSERT_NE(single.backend().flow_count(), 0u);
-  expect_equivalent(single, sharded);
+  c1.rx_batch = c4.rx_batch = 32;
+  Switch w1(c1);
+  Switch w4(c4);
+  install_rules(w1);
+  install_rules(w4);
+  drive_trace(w1, 0x5EED, 6000, 32);
+  drive_trace(w4, 0x5EED, 6000, 32);
+  ASSERT_NE(w1.datapath().flow_count(), 0u);
+  expect_equivalent(w1, w4);
 }
 
 TEST(BackendEquivalence, SeedSweep) {
   for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    Switch single(make_config(0));
-    Switch sharded(make_config(2));
-    install_rules(single);
-    install_rules(sharded);
-    drive_trace(single, seed, 2000, 1);
-    drive_trace(sharded, seed, 2000, 1);
-    expect_equivalent(single, sharded);
+    Switch w1(make_config(1));
+    Switch w4(make_config(4));
+    install_rules(w1);
+    install_rules(w4);
+    drive_trace(w1, seed, 2000, 1);
+    drive_trace(w4, seed, 2000, 1);
+    expect_equivalent(w1, w4);
   }
 }
 

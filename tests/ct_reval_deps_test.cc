@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "sim/clock.h"
+#include "util/rng.h"
 #include "vswitchd/switch.h"
 
 namespace ovs {
@@ -61,7 +64,7 @@ class CtRevalDepsTest : public ::testing::Test {
 
   void install_all() {
     for (size_t i = 0; i < kConns; ++i) send(conn_pkt(i));
-    ASSERT_EQ(sw_->backend().flow_count(), kConns);
+    ASSERT_EQ(sw_->datapath().flow_count(), kConns);
   }
 
   const RevalPassStats& tick(uint64_t dt = kSecond) {
@@ -175,7 +178,7 @@ TEST_F(CtRevalDepsTest, SelfCommittingUpcallIsRetranslatedNextPass) {
   // The ACK's translation runs after the commit and only refreshes it: its
   // megaflow is current, and nothing needs a pass.
   EXPECT_EQ(send(conn_pkt(0, /*ACK*/ 0x10)), "output:2");
-  EXPECT_EQ(sw_->backend().flow_count(), 2u);
+  EXPECT_EQ(sw_->datapath().flow_count(), 2u);
   EXPECT_EQ(tick().retranslated, 0u);
 
   // A second connection's self-commit touches its own megaflow only.
@@ -243,6 +246,91 @@ TEST_F(CtRevalDepsTest, AblationIgnoresConntrackChanges) {
   sw_->ct_commit(conn_pkt(3).key, 0, clock_.now());
   EXPECT_EQ(tick().retranslated, 0u);
   EXPECT_EQ(send(conn_pkt(3)), "output:3");  // stale, as designed
+}
+
+// Property, seeded: TCP_CRR-style traffic through a ct(commit) pipeline, so
+// every connection commits itself during its first packet's upcall (the
+// translation-time commits the differential fuzzer never makes), idles out
+// of a small tracker, and is replaced by new ones. After every maintenance
+// pass each megaflow's actions must equal a side-effect-free translation of
+// its full key — at one and four datapath workers, per-packet and batched.
+// A translation that took its conntrack stamp after its own commit would
+// leave the committing megaflow stale here.
+TEST(CtRevalDepsProperty, CrrCommitsLeaveNoStaleMegaflow) {
+  for (size_t workers : {1, 4}) {
+    for (size_t rx : {1, 8}) {
+      for (uint64_t seed : {11, 22, 33}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers) +
+                     " rx=" + std::to_string(rx) +
+                     " seed=" + std::to_string(seed));
+        SwitchConfig cfg;
+        cfg.datapath.n_workers = workers;
+        cfg.rx_batch = rx;
+        cfg.ct_idle_timeout_ns = 2 * kSecond;
+        Switch sw(cfg);
+        for (uint32_t p : {1u, kEstPort, kNewPort}) sw.add_port(p);
+        sw.table(0).add_flow(MatchBuilder().ip(), 10,
+                             OfActions().ct(1, /*commit=*/true));
+        sw.table(1).add_flow(MatchBuilder().ct_state(ct_state::kEstablished),
+                             10, OfActions().output(kEstPort));
+        sw.table(1).add_flow(MatchBuilder().ct_state(ct_state::kNew), 10,
+                             OfActions().output(kNewPort));
+
+        Rng rng(seed);
+        VirtualClock clock;
+        std::vector<size_t> live;  // connection ids with traffic flowing
+        size_t next_conn = 0;
+        std::vector<Packet> burst;
+        auto offer = [&](const Packet& p) {
+          if (rx == 1) {
+            sw.inject(p, clock.now());
+            return;
+          }
+          burst.push_back(p);
+          if (burst.size() == rx) {
+            sw.inject_batch(burst, clock.now());
+            burst.clear();
+          }
+        };
+        for (int second = 0; second < 12; ++second) {
+          for (int tick = 0; tick < 10; ++tick) {
+            // Connect: a SYN whose upcall commits the connection.
+            for (size_t n = rng.uniform(3); n > 0; --n) {
+              offer(conn_pkt(next_conn, /*SYN*/ 0x02));
+              live.push_back(next_conn++);
+            }
+            // Request/response on live connections; some close, and their
+            // entries idle out of the tracker later.
+            for (int k = 0; k < 6 && !live.empty(); ++k) {
+              const size_t at = rng.uniform(live.size());
+              offer(conn_pkt(live[at], /*ACK*/ 0x10));
+              if (rng.chance(0.15)) {
+                live[at] = live.back();
+                live.pop_back();
+              }
+            }
+            if (!burst.empty()) {
+              sw.inject_batch(burst, clock.now());
+              burst.clear();
+            }
+            sw.handle_upcalls(clock.now());
+            clock.advance(100 * kMillisecond);
+          }
+          sw.run_maintenance(clock.now());
+          for (const MegaflowEntry* f : sw.datapath().dump()) {
+            const XlateResult want = sw.pipeline().translate(
+                f->full_key(), clock.now(), /*side_effects=*/false);
+            ASSERT_EQ(f->actions(), want.actions)
+                << "second " << second << ": " << f->match().to_string();
+          }
+        }
+        // Not vacuous: self-committed megaflows were repaired, and
+        // connections expired underneath installed flows.
+        EXPECT_GT(sw.counters().reval_updated_actions, 0u);
+        EXPECT_GT(sw.counters().ct_expired_idle, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,14 +2,14 @@
 // violations are detected and quarantined, healthy caches pass, and — the
 // property test — every randomized table_gen workload the switch can
 // produce keeps the datapath disjoint, EMC-coherent, and stats-conserving
-// on both backends.
+// at one and at several workers.
 #include "datapath/dp_check.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "datapath/dp_backend.h"
+#include "datapath/datapath.h"
 #include "sim/clock.h"
 #include "util/rng.h"
 #include "vswitchd/switch.h"
@@ -19,19 +19,19 @@ namespace ovs {
 namespace {
 
 void expect_clean(const Switch& sw, const std::string& context) {
-  const DpCheckReport r = run_dp_check(sw.backend());
+  const DpCheckReport r = run_dp_check(sw.datapath());
   EXPECT_TRUE(r.ok()) << context << ": overlaps=" << r.overlap_violations
                       << " dups=" << r.duplicate_keys
                       << " emc_dangling=" << r.emc_dangling_hints
                       << " stats=" << r.stats_violations
                       << (r.details.empty() ? "" : "; " + r.details[0]);
-  EXPECT_EQ(r.flows_checked, sw.backend().flow_count());
+  EXPECT_EQ(r.flows_checked, sw.datapath().flow_count());
 }
 
 // --- Targeted violations ----------------------------------------------------
 
 TEST(DpCheckTest, EmptyAndSingleFlowCachesPass) {
-  SingleDpBackend be{DatapathConfig{}};
+  Datapath be;
   EXPECT_TRUE(run_dp_check(be).ok());
   be.install(MatchBuilder().ip(), DpActions().output(2), 0);
   const DpCheckReport r = run_dp_check(be);
@@ -40,14 +40,14 @@ TEST(DpCheckTest, EmptyAndSingleFlowCachesPass) {
 }
 
 TEST(DpCheckTest, DetectsCrossMaskOverlapAndQuarantinesLaterEntry) {
-  SingleDpBackend be{DatapathConfig{}};
+  Datapath be;
   // Entry A: ip dst 9/8. Entry B: any tcp. A tcp packet to 9.x matches
   // both, and the actions differ — exactly the misdelivery the kernel's
   // first-match semantics cannot tolerate.
-  DpBackend::FlowRef a = be.install(
+  MegaflowEntry* a = be.install(
       MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
       DpActions().output(2), 0);
-  DpBackend::FlowRef b =
+  MegaflowEntry* b =
       be.install(MatchBuilder().tcp(), DpActions().output(3), 0);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
@@ -64,7 +64,7 @@ TEST(DpCheckTest, DetectsCrossMaskOverlapAndQuarantinesLaterEntry) {
 }
 
 TEST(DpCheckTest, BenignOverlapIsCountedButNotQuarantined) {
-  SingleDpBackend be{DatapathConfig{}};
+  Datapath be;
   be.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
              DpActions().output(2), 0);
   be.install(MatchBuilder().tcp(), DpActions().output(2), 0);
@@ -82,9 +82,9 @@ TEST(DpCheckTest, BenignOverlapIsCountedButNotQuarantined) {
 }
 
 TEST(DpCheckTest, OverlapDetectionWorksOnShardedBackend) {
-  ShardedDatapathConfig cfg;
+  DatapathConfig cfg;
   cfg.n_workers = 2;
-  MtDpBackend be{cfg};
+  Datapath be{cfg};
   be.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
              DpActions().output(2), 0);
   be.install(MatchBuilder().tcp(), DpActions().output(3), 0);
@@ -95,7 +95,7 @@ TEST(DpCheckTest, OverlapDetectionWorksOnShardedBackend) {
 }
 
 TEST(DpCheckTest, DisjointEntriesPassMaskPairProbing) {
-  SingleDpBackend be{DatapathConfig{}};
+  Datapath be;
   // Different masks whose regions cannot intersect: both constrain nw_dst
   // in their common mask to different values.
   be.install(MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
@@ -137,13 +137,13 @@ class DpCheckOffloadTest : public ::testing::Test {
     EXPECT_TRUE(r.quarantine.empty());  // repair is slot flush, not delete
     quarantine_flows(be_, r);
     EXPECT_EQ(be_.flow_count(), 2u);
-    EXPECT_EQ(be_.offload_size(), 1u);
+    EXPECT_EQ(be_.offload()->size(), 1u);
     EXPECT_TRUE(run_dp_check(be_).ok());
   }
 
-  SingleDpBackend be_;
-  DpBackend::FlowRef a_ = nullptr;
-  DpBackend::FlowRef b_ = nullptr;
+  Datapath be_;
+  MegaflowEntry* a_ = nullptr;
+  MegaflowEntry* b_ = nullptr;
 };
 
 TEST_F(DpCheckOffloadTest, CoherentSlotsPass) {
@@ -158,7 +158,7 @@ TEST_F(DpCheckOffloadTest, CatchesStaleActionSnapshot) {
 }
 
 TEST_F(DpCheckOffloadTest, CatchesDanglingSlotAfterMegaflowDelete) {
-  // Bypass the backend's auto-evict (remove() would flush the slot) with the
+  // Bypass the datapath's auto-evict (remove() would flush the slot) with the
   // targeted corruption, modeling a reconciliation bug that re-keys a slot
   // to a dead owner.
   ASSERT_TRUE(be_.offload_corrupt(0, OffloadTable::Corruption::kOrphanSlot));
@@ -175,16 +175,16 @@ TEST_F(DpCheckOffloadTest, BackendRemoveKeepsSlotsCoherent) {
   // dangling slot survives for the checker to find.
   be_.remove(a_);
   be_.purge_dead();
-  EXPECT_EQ(be_.offload_size(), 1u);
+  EXPECT_EQ(be_.offload()->size(), 1u);
   EXPECT_TRUE(run_dp_check(be_).ok());
 }
 
 TEST(DpCheckOffloadShardedTest, CatchesCorruptionOnShardedBackend) {
-  ShardedDatapathConfig cfg;
+  DatapathConfig cfg;
   cfg.n_workers = 2;
   cfg.offload_slots = 8;
-  MtDpBackend be{cfg};
-  DpBackend::FlowRef f = be.install(
+  Datapath be{cfg};
+  MegaflowEntry* f = be.install(
       MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8),
       DpActions().output(2), 0);
   ASSERT_TRUE(be.offload_install(f, 0));
@@ -193,7 +193,7 @@ TEST(DpCheckOffloadShardedTest, CatchesCorruptionOnShardedBackend) {
   DpCheckReport r = run_dp_check(be);
   EXPECT_EQ(r.offload_stale_actions, 1u);
   quarantine_flows(be, r);
-  EXPECT_EQ(be.offload_size(), 0u);
+  EXPECT_EQ(be.offload()->size(), 0u);
   EXPECT_TRUE(run_dp_check(be).ok());
 }
 
@@ -206,7 +206,7 @@ TEST(DpCheckOffloadShardedTest, CatchesCorruptionOnShardedBackend) {
 // the regression net under it.
 void run_nvp_property(uint64_t seed, size_t workers) {
   SwitchConfig cfg;
-  cfg.datapath_workers = workers;
+  cfg.datapath.n_workers = workers;
   Switch sw(cfg);
   NvpConfig nvp;
   nvp.n_tenants = 3;
@@ -239,7 +239,7 @@ void run_nvp_property(uint64_t seed, size_t workers) {
                            std::to_string(round));
     }
   }
-  ASSERT_GT(sw.backend().flow_count(), 0u);
+  ASSERT_GT(sw.datapath().flow_count(), 0u);
   expect_clean(sw, "seed " + std::to_string(seed) + " final");
 }
 
@@ -279,7 +279,7 @@ TEST(DpCheckPropertyTest, InvariantHoldsAcrossCrashAndReconcile) {
     }
   };
   drive(6);
-  ASSERT_GT(sw.backend().flow_count(), 0u);
+  ASSERT_GT(sw.datapath().flow_count(), 0u);
   expect_clean(sw, "pre-crash");
 
   sw.crash();

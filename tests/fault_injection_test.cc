@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "datapath/mt_datapath.h"
 #include "sim/clock.h"
 #include "util/fault.h"
 #include "vswitchd/switch.h"
@@ -608,9 +607,9 @@ TEST(UpcallFairnessTest, FifoAblationStarvesVictimPorts) {
 
 TEST(ShardedFaultTest, InstallAndUpcallFaultsAreCountedAndRecoverable) {
   FaultInjector fault(0x31);
-  ShardedDatapathConfig cfg;
+  DatapathConfig cfg;
   cfg.n_workers = 2;
-  ShardedDatapath dp(cfg);
+  Datapath dp(cfg);
   dp.set_fault_injector(&fault);
 
   Match m = MatchBuilder().ip().nw_dst_prefix(Ipv4(9, 0, 0, 0), 8);
@@ -618,8 +617,8 @@ TEST(ShardedFaultTest, InstallAndUpcallFaultsAreCountedAndRecoverable) {
   // First install fails (scripted table-full); second lands.
   fault.script(FaultPoint::kInstallTableFull, {0});
   EXPECT_EQ(dp.install(m, DpActions().output(2), 0), nullptr);
-  EXPECT_EQ(dp.stats().install_fails, 1u);
-  MtMegaflow* e = dp.install(m, DpActions().output(2), 0);
+  EXPECT_EQ(dp.stats().install_fail_full, 1u);
+  MegaflowEntry* e = dp.install(m, DpActions().output(2), 0);
   ASSERT_NE(e, nullptr);
 
   // Misses: first upcall dropped, second delayed, third duplicated.

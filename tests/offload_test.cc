@@ -1,12 +1,12 @@
 // Simulated NIC hardware-offload tier tests (DESIGN.md §13): the table
 // itself, earned-slot placement with hysteresis, revalidation keeping slots
-// coherent, crash/restart adopt-or-flush, and the sharded backend's
-// RCU-published view semantics.
+// coherent, crash/restart adopt-or-flush, and the RCU-published view the
+// datapath's workers probe.
 #include "datapath/offload_table.h"
 
 #include <gtest/gtest.h>
 
-#include "datapath/dp_backend.h"
+#include "datapath/datapath.h"
 #include "datapath/dp_check.h"
 #include "sim/clock.h"
 #include "vswitchd/switch.h"
@@ -91,12 +91,12 @@ TEST(OffloadTableTest, CloneSharesCountersButNotSlots) {
 class OffloadPlacementTest : public ::testing::Test {
  protected:
   void build(size_t slots, double min_ewma = 1.0,
-             double challenge = 2.0, size_t workers = 0) {
+             double challenge = 2.0, size_t workers = 1) {
     SwitchConfig cfg;
     cfg.offload_slots = slots;
     cfg.offload_min_ewma = min_ewma;
     cfg.offload_challenge_factor = challenge;
-    cfg.datapath_workers = workers;
+    cfg.datapath.n_workers = workers;
     sw_ = std::make_unique<Switch>(cfg);
     for (uint32_t p : {1u, 2u, 3u}) sw_->add_port(p);
     sw_->table(0).add_flow(
@@ -127,9 +127,9 @@ class OffloadPlacementTest : public ::testing::Test {
 TEST_F(OffloadPlacementTest, HotFlowsEarnFreeSlots) {
   build(/*slots=*/4);
   pump(50, 5);
-  EXPECT_EQ(sw_->backend().offload_size(), 0u);  // not yet earned
+  EXPECT_EQ(sw_->datapath().offload()->size(), 0u);  // not yet earned
   tick();
-  EXPECT_EQ(sw_->backend().offload_size(), 2u);
+  EXPECT_EQ(sw_->datapath().offload()->size(), 2u);
   EXPECT_EQ(sw_->counters().offload_installs, 2u);
 
   // The offload tier answers before the EMC, from its own snapshot, and
@@ -143,8 +143,8 @@ TEST_F(OffloadPlacementTest, HotFlowsEarnFreeSlots) {
 
   // Offload hits credit the owner megaflow, so the ledger stays conserved
   // and slot hits never exceed owner packets.
-  EXPECT_TRUE(run_dp_check(sw_->backend()).ok());
-  EXPECT_GT(sw_->backend().stats().offload_hits, 0u);
+  EXPECT_TRUE(run_dp_check(sw_->datapath()).ok());
+  EXPECT_GT(sw_->datapath().stats().offload_hits, 0u);
 }
 
 TEST_F(OffloadPlacementTest, ColdFlowsBelowMinEwmaNeverEarn) {
@@ -153,7 +153,7 @@ TEST_F(OffloadPlacementTest, ColdFlowsBelowMinEwmaNeverEarn) {
     pump(50, 2);  // B averages 2 packets/interval < 10
     tick();
   }
-  EXPECT_EQ(sw_->backend().offload_size(), 1u);
+  EXPECT_EQ(sw_->datapath().offload()->size(), 1u);
   EXPECT_EQ(sw_->inject(make_udp(10), clock_.now()),
             Datapath::Path::kOffloadHit);
   EXPECT_NE(sw_->inject(make_udp(20), clock_.now()),
@@ -164,13 +164,13 @@ TEST_F(OffloadPlacementTest, ColdIncumbentIsEvictedWhenItDecays) {
   build(/*slots=*/4, /*min_ewma=*/4.0);
   pump(50, 0);
   tick();
-  ASSERT_EQ(sw_->backend().offload_size(), 1u);
+  ASSERT_EQ(sw_->datapath().offload()->size(), 1u);
   // A goes quiet: its EWMA halves every pass (alpha 0.5) until it falls
   // below min_ewma and the slot is reclaimed with no challenger needed.
-  for (int round = 0; round < 8 && sw_->backend().offload_size() > 0;
+  for (int round = 0; round < 8 && sw_->datapath().offload()->size() > 0;
        ++round)
     tick();
-  EXPECT_EQ(sw_->backend().offload_size(), 0u);
+  EXPECT_EQ(sw_->datapath().offload()->size(), 0u);
   EXPECT_GE(sw_->counters().offload_evicts, 1u);
 }
 
@@ -178,7 +178,7 @@ TEST_F(OffloadPlacementTest, HysteresisDampsSlotChurn) {
   build(/*slots=*/1, /*min_ewma=*/1.0, /*challenge=*/2.0);
   pump(50, 10);
   tick();  // A takes the single slot
-  ASSERT_EQ(sw_->backend().offload_size(), 1u);
+  ASSERT_EQ(sw_->datapath().offload()->size(), 1u);
   EXPECT_EQ(sw_->inject(make_udp(10), clock_.now()),
             Datapath::Path::kOffloadHit);
 
@@ -200,17 +200,16 @@ TEST_F(OffloadPlacementTest, HysteresisDampsSlotChurn) {
   EXPECT_NE(sw_->inject(make_udp(10), clock_.now()),
             Datapath::Path::kOffloadHit);
   EXPECT_GE(sw_->counters().offload_evicts, 1u);
-  EXPECT_EQ(sw_->backend().offload_size(), 1u);
+  EXPECT_EQ(sw_->datapath().offload()->size(), 1u);
 }
 
 TEST_F(OffloadPlacementTest, DisabledTierStaysInert) {
   build(/*slots=*/0);
   pump(50, 50);
   tick();
-  EXPECT_FALSE(sw_->backend().offload_enabled());
-  EXPECT_EQ(sw_->backend().offload_capacity(), 0u);
+  EXPECT_EQ(sw_->datapath().offload(), nullptr);
   EXPECT_EQ(sw_->counters().offload_installs, 0u);
-  EXPECT_EQ(sw_->backend().stats().offload_hits, 0u);
+  EXPECT_EQ(sw_->datapath().stats().offload_hits, 0u);
   EXPECT_NE(sw_->inject(make_udp(10), clock_.now()),
             Datapath::Path::kOffloadHit);
 }
@@ -221,7 +220,7 @@ TEST_F(OffloadPlacementTest, RuleChangeRepairsOffloadedCopySamePass) {
   build(/*slots=*/4);
   pump(50, 0);
   tick();
-  ASSERT_EQ(sw_->backend().offload_size(), 1u);
+  ASSERT_EQ(sw_->datapath().offload()->size(), 1u);
 
   // Rewire 10/8 to port 3. The megaflow's actions are stale until the next
   // revalidation pass, which must repair the offloaded snapshot in the same
@@ -239,7 +238,7 @@ TEST_F(OffloadPlacementTest, RuleChangeRepairsOffloadedCopySamePass) {
   EXPECT_EQ(sw_->inject(make_udp(10), clock_.now()),
             Datapath::Path::kOffloadHit);
   EXPECT_EQ(sw_->port_stats(3).tx_packets, tx3 + 1);
-  EXPECT_TRUE(run_dp_check(sw_->backend()).ok());
+  EXPECT_TRUE(run_dp_check(sw_->datapath()).ok());
 }
 
 // --- Crash / restart: adopt-or-flush ----------------------------------------
@@ -248,13 +247,13 @@ TEST_F(OffloadPlacementTest, RestartAdoptsCoherentSlots) {
   build(/*slots=*/4);
   pump(50, 30);
   tick();
-  ASSERT_EQ(sw_->backend().offload_size(), 2u);
+  ASSERT_EQ(sw_->datapath().offload()->size(), 2u);
 
   // The daemon dies; the NIC keeps its programmed slots and keeps
   // forwarding from them while userspace is gone.
   sw_->crash();
   ASSERT_NE(sw_->lifecycle(), LifecycleState::kServing);
-  EXPECT_EQ(sw_->backend().offload_size(), 2u);
+  EXPECT_EQ(sw_->datapath().offload()->size(), 2u);
   EXPECT_EQ(sw_->inject(make_udp(10), clock_.now()),
             Datapath::Path::kOffloadHit);
 
@@ -262,42 +261,42 @@ TEST_F(OffloadPlacementTest, RestartAdoptsCoherentSlots) {
   ASSERT_TRUE(sw_->restart(clock_.now()));
   EXPECT_EQ(sw_->counters().offload_adopted, 2u);
   EXPECT_EQ(sw_->counters().offload_flushed, 0u);
-  EXPECT_EQ(sw_->backend().offload_size(), 2u);
+  EXPECT_EQ(sw_->datapath().offload()->size(), 2u);
   EXPECT_EQ(sw_->inject(make_udp(10), clock_.now()),
             Datapath::Path::kOffloadHit);
-  EXPECT_TRUE(run_dp_check(sw_->backend()).ok());
+  EXPECT_TRUE(run_dp_check(sw_->datapath()).ok());
 }
 
 TEST_F(OffloadPlacementTest, RestartFlushesIncoherentSlot) {
   build(/*slots=*/4);
   pump(50, 30);
   tick();
-  ASSERT_EQ(sw_->backend().offload_size(), 2u);
+  ASSERT_EQ(sw_->datapath().offload()->size(), 2u);
 
   sw_->crash();
   // While the daemon is down, one slot is re-keyed to a flow that no longer
   // exists (the corruption the adopt-or-flush sweep exists to catch; the
   // backend's own coherence hooks cannot have seen it).
-  ASSERT_TRUE(sw_->backend().offload_corrupt(
+  ASSERT_TRUE(sw_->datapath().offload_corrupt(
       0, OffloadTable::Corruption::kOrphanSlot));
 
   clock_.advance(kSecond);
   ASSERT_TRUE(sw_->restart(clock_.now()));
   EXPECT_EQ(sw_->counters().offload_flushed, 1u);
   EXPECT_EQ(sw_->counters().offload_adopted, 1u);
-  EXPECT_EQ(sw_->backend().offload_size(), 1u);
-  EXPECT_TRUE(run_dp_check(sw_->backend()).ok());
+  EXPECT_EQ(sw_->datapath().offload()->size(), 1u);
+  EXPECT_TRUE(run_dp_check(sw_->datapath()).ok());
 }
 
-// --- Sharded backend: RCU view publication ----------------------------------
+// --- Several workers: RCU view publication ----------------------------------
 
 TEST(OffloadMtTest, SlotVisibleToWorkersOnlyAfterCommit) {
-  ShardedDatapathConfig cfg;
+  DatapathConfig cfg;
   cfg.n_workers = 2;
   cfg.offload_slots = 4;
-  cfg.emc_enabled = false;  // keep the non-offload path deterministic
-  MtDpBackend be{cfg};
-  DpBackend::FlowRef f = be.install(
+  cfg.microflow_enabled = false;  // keep the non-offload path deterministic
+  Datapath be{cfg};
+  MegaflowEntry* f = be.install(
       MatchBuilder().ip().nw_dst_prefix(Ipv4(10, 0, 0, 0), 8),
       DpActions().output(2), 0);
   ASSERT_NE(f, nullptr);
@@ -308,7 +307,7 @@ TEST(OffloadMtTest, SlotVisibleToWorkersOnlyAfterCommit) {
   // Programmed in the master but not yet published: the fast path still
   // serves from the megaflow table.
   ASSERT_TRUE(be.offload_install(f, 0));
-  EXPECT_TRUE(be.offload_contains(f));
+  EXPECT_TRUE(be.offload()->contains(f));
   EXPECT_EQ(be.receive(p, 0).path, Datapath::Path::kMegaflowHit);
 
   be.offload_commit();
@@ -317,10 +316,11 @@ TEST(OffloadMtTest, SlotVisibleToWorkersOnlyAfterCommit) {
   // Hits credited against the published view reach the master's slot, and
   // the owner megaflow was credited too (ledger conservation).
   uint64_t slot_hits = 0;
-  for (const DpBackend::OffloadSlot& s : be.offload_dump())
-    slot_hits += s.hits;
+  be.offload()->for_each([&](const OffloadTable::Entry& s) {
+    slot_hits += s.counters->hits.load(std::memory_order_relaxed);
+  });
   EXPECT_EQ(slot_hits, 1u);
-  EXPECT_EQ(be.flow_packets(f), 3u);
+  EXPECT_EQ(f->packets(), 3u);
   EXPECT_TRUE(run_dp_check(be).ok());
 
   // Eviction publishes through purge_dead (the revalidator's end-of-pass
@@ -334,7 +334,7 @@ TEST(OffloadMtTest, SlotVisibleToWorkersOnlyAfterCommit) {
 
 TEST(OffloadMtTest, ShardedSwitchServesOffloadHits) {
   SwitchConfig cfg;
-  cfg.datapath_workers = 4;
+  cfg.datapath.n_workers = 4;
   cfg.offload_slots = 8;
   Switch sw(cfg);
   for (uint32_t p : {1u, 2u}) sw.add_port(p);
@@ -348,12 +348,12 @@ TEST(OffloadMtTest, ShardedSwitchServesOffloadHits) {
   sw.handle_upcalls(clock.now());
   clock.advance(kSecond);
   sw.run_maintenance(clock.now());  // placement + publish
-  ASSERT_EQ(sw.backend().offload_size(), 1u);
+  ASSERT_EQ(sw.datapath().offload()->size(), 1u);
 
-  const auto before = sw.backend().stats().offload_hits;
+  const auto before = sw.datapath().stats().offload_hits;
   sw.inject_batch(burst, clock.now());
-  EXPECT_EQ(sw.backend().stats().offload_hits, before + burst.size());
-  EXPECT_TRUE(run_dp_check(sw.backend()).ok());
+  EXPECT_EQ(sw.datapath().stats().offload_hits, before + burst.size());
+  EXPECT_TRUE(run_dp_check(sw.datapath()).ok());
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ TEST(RestartRecoveryTest, CrashKeepsDatapathServingButRefusesUpcalls) {
   install_prefix_rules(sw, 8);
   VirtualClock clock;
   warm_flows(sw, clock, 8);
-  ASSERT_EQ(sw.backend().flow_count(), 8u);
+  ASSERT_EQ(sw.datapath().flow_count(), 8u);
 
   sw.crash();
   EXPECT_EQ(sw.lifecycle(), LifecycleState::kCrashed);
@@ -80,7 +80,7 @@ TEST(RestartRecoveryTest, CrashKeepsDatapathServingButRefusesUpcalls) {
   sw.inject(prefix_pkt(1, 0, 199, 9999), clock.now());
   sw.handle_upcalls(clock.now());
   EXPECT_GT(sw.counters().upcalls_dropped, dropped0);
-  EXPECT_EQ(sw.backend().flow_count(), 8u);
+  EXPECT_EQ(sw.datapath().flow_count(), 8u);
 }
 
 TEST(RestartRecoveryTest, CrashFoldsQueuedWorkIntoLossCounters) {
@@ -120,15 +120,15 @@ TEST(RestartRecoveryTest, RestartAdoptsRepairsAndDeletesInOnePass) {
   install_prefix_rules(sw, 12);
   VirtualClock clock;
   warm_flows(sw, clock, 12);
-  ASSERT_EQ(sw.backend().flow_count(), 12u);
+  ASSERT_EQ(sw.datapath().flow_count(), 12u);
 
   sw.crash();
   // Kernel rot during the blackout: one corrupted entry (wrong actions,
   // repairable) and one rogue overlapping flow no healthy install path
   // would produce (stale: re-translation disagrees on match shape).
-  sw.backend().corrupt_entry(0);
+  sw.datapath().corrupt_entry(0);
   clock.advance(200 * kMillisecond);
-  sw.backend().install(
+  sw.datapath().install(
       MatchBuilder().tcp().nw_dst_prefix(Ipv4(10, 0, 0, 0), 16),
       DpActions().output(0xDEAD), clock.now());
   // Blackout traffic keeps the survivors warm (the datapath forwards and
@@ -140,7 +140,7 @@ TEST(RestartRecoveryTest, RestartAdoptsRepairsAndDeletesInOnePass) {
                          static_cast<uint16_t>(2000 + i)),
               clock.now());
   // ...except one flow forced idle: reconciliation must reap, not adopt it.
-  sw.backend().expire_entry(5);
+  sw.datapath().expire_entry(5);
 
   clock.advance(900 * kMillisecond);  // idle flow at 1.1s > 1s; rest 0.9s
   ASSERT_TRUE(sw.restart(clock.now()));
@@ -156,11 +156,10 @@ TEST(RestartRecoveryTest, RestartAdoptsRepairsAndDeletesInOnePass) {
   EXPECT_GT(c.reconcile_blackout_cycles, 0u);
 
   // Every surviving flow now answers exactly like a fresh translation.
-  for (DpBackend::FlowRef f : sw.backend().dump()) {
-    const XlateResult want =
-        sw.pipeline().translate(sw.backend().flow_match(f).key, clock.now(),
-                                /*side_effects=*/false);
-    EXPECT_EQ(sw.backend().flow_actions(f), want.actions);
+  for (const MegaflowEntry* f : sw.datapath().dump()) {
+    const XlateResult want = sw.pipeline().translate(
+        f->match().key, clock.now(), /*side_effects=*/false);
+    EXPECT_EQ(f->actions(), want.actions);
   }
   // And installs are enabled again.
   const uint64_t setups0 = c.flow_setups;
@@ -226,19 +225,19 @@ TEST(RestartRecoveryTest, SelfCheckQuarantinesPlantedOverlap) {
 
   // A rogue overlapping megaflow with different actions appears while the
   // daemon is serving (bit-flip, hostile peer, reconciliation bug...).
-  sw.backend().install(
+  sw.datapath().install(
       MatchBuilder().tcp().nw_dst_prefix(Ipv4(10, 0, 0, 0), 16),
       DpActions().output(0xDEAD), clock.now());
   const DpCheckReport r = sw.self_check();
   EXPECT_GE(r.overlap_violations, 1u);
   EXPECT_EQ(sw.counters().flows_quarantined, r.quarantine.size());
-  EXPECT_EQ(sw.backend().flow_count(), 6u);
+  EXPECT_EQ(sw.datapath().flow_count(), 6u);
   EXPECT_TRUE(sw.self_check().ok());
   EXPECT_EQ(sw.counters().flows_quarantined, r.quarantine.size());
 }
 
 // Same seed => identical post-reconciliation flow table and recovery
-// verdicts, regardless of revalidator thread count or datapath backend.
+// verdicts, regardless of revalidator thread count or datapath workers.
 TEST(RestartRecoveryTest, ReconciliationIsDeterministicAcrossConfigs) {
   struct Outcome {
     std::vector<std::string> flows;
@@ -246,15 +245,15 @@ TEST(RestartRecoveryTest, ReconciliationIsDeterministicAcrossConfigs) {
   };
   auto run = [](size_t workers, size_t reval_threads) {
     SwitchConfig cfg;
-    cfg.datapath_workers = workers;
+    cfg.datapath.n_workers = workers;
     cfg.revalidator_threads = reval_threads;
     Switch sw(cfg);
     install_prefix_rules(sw, 60);
     VirtualClock clock;
     warm_flows(sw, clock, 60);
     sw.crash();
-    for (size_t k = 0; k < 5; ++k) sw.backend().corrupt_entry(k * 11);
-    sw.backend().expire_entry(7);
+    for (size_t k = 0; k < 5; ++k) sw.datapath().corrupt_entry(k * 11);
+    sw.datapath().expire_entry(7);
     clock.advance(kSecond);
     EXPECT_TRUE(sw.restart(clock.now()));
     const Switch::Counters& c = sw.counters();
@@ -262,10 +261,10 @@ TEST(RestartRecoveryTest, ReconciliationIsDeterministicAcrossConfigs) {
                    {c.flows_adopted, c.flows_repaired, c.reval_deleted_idle,
                     c.reval_deleted_stale, c.flows_quarantined}};
   };
-  const Outcome base = run(0, 1);
+  const Outcome base = run(1, 1);
   ASSERT_FALSE(base.flows.empty());
   for (auto [workers, threads] :
-       {std::pair<size_t, size_t>{0, 4}, {4, 1}, {4, 4}}) {
+       {std::pair<size_t, size_t>{1, 4}, {4, 1}, {4, 4}}) {
     const Outcome o = run(workers, threads);
     EXPECT_EQ(base.flows, o.flows)
         << "workers=" << workers << " threads=" << threads;
@@ -278,24 +277,24 @@ TEST(RestartRecoveryTest, ReconciliationIsDeterministicAcrossConfigs) {
 // have revalidated a pending repair (the repair is "in flight") must not
 // double-apply it after restart, and reconciliation must leave exactly one
 // live attribution record per installed flow — no leaked records for
-// entries the aborted pass had planned against. Runs across single and
-// sharded backends and multi-threaded revalidator plans, which share the
-// decision ladder but not the apply path.
+// entries the aborted pass had planned against. Runs at one and four
+// datapath workers and with multi-threaded revalidator plans, which share
+// the decision ladder but not the apply path.
 TEST(RestartRecoveryTest, CrashWithPendingRepairNeitherLeaksNorDoubleApplies) {
   for (auto [workers, reval_threads] :
-       {std::pair<size_t, size_t>{0, 1}, {0, 4}, {4, 4}}) {
+       {std::pair<size_t, size_t>{1, 1}, {1, 4}, {4, 4}}) {
     SCOPED_TRACE("workers=" + std::to_string(workers) +
                  " reval_threads=" + std::to_string(reval_threads));
     FaultInjector fault(0x51);
     SwitchConfig cfg;
     cfg.fault = &fault;
-    cfg.datapath_workers = workers;
+    cfg.datapath.n_workers = workers;
     cfg.revalidator_threads = reval_threads;
     Switch sw(cfg);
     install_prefix_rules(sw, 16);
     VirtualClock clock;
     warm_flows(sw, clock, 16);
-    ASSERT_EQ(sw.backend().flow_count(), 16u);
+    ASSERT_EQ(sw.datapath().flow_count(), 16u);
     ASSERT_EQ(sw.attribution_count(), 16u);
 
     // A same-shape shadowing rule stales exactly one megaflow (same tuple,
@@ -322,7 +321,7 @@ TEST(RestartRecoveryTest, CrashWithPendingRepairNeitherLeaksNorDoubleApplies) {
     EXPECT_EQ(c.flows_adopted + c.flows_repaired + c.reval_deleted_idle +
                   c.reval_deleted_stale,
               16u);
-    EXPECT_EQ(sw.attribution_count(), sw.backend().flow_count());
+    EXPECT_EQ(sw.attribution_count(), sw.datapath().flow_count());
     EXPECT_TRUE(sw.self_check().ok());
 
     // A follow-up pass finds nothing left to repair: a double-apply would
@@ -333,7 +332,7 @@ TEST(RestartRecoveryTest, CrashWithPendingRepairNeitherLeaksNorDoubleApplies) {
     sw.run_maintenance(clock.now());
     EXPECT_EQ(c.flows_repaired, repaired);
     EXPECT_EQ(c.reval_updated_actions, updated);
-    EXPECT_EQ(sw.attribution_count(), sw.backend().flow_count());
+    EXPECT_EQ(sw.attribution_count(), sw.datapath().flow_count());
 
     // The slow-path ledgers balance across the whole crash/restart cycle.
     EXPECT_EQ(c.upcalls_handled + c.upcalls_retried,
@@ -376,7 +375,7 @@ TEST(RestartRecoveryTest, MaintenanceDrivenRecoveryUnderLoad) {
   EXPECT_EQ(sw.lifecycle(), LifecycleState::kServing);
   EXPECT_EQ(sw.counters().userspace_crashes, 1u);
   EXPECT_GT(sw.counters().flows_adopted, 0u);
-  EXPECT_GT(sw.backend().flow_count(), 0u);
+  EXPECT_GT(sw.datapath().flow_count(), 0u);
   const Switch::Counters& c = sw.counters();
   EXPECT_EQ(c.upcalls_handled + c.upcalls_retried,
             c.flow_setups + c.setup_dups + c.install_fails);
@@ -424,7 +423,7 @@ TEST(StatefulRestartTest, CrashFlushesConntrackAndRepairsStaleCtMegaflows) {
   sw.handle_upcalls(clock.now());
   ASSERT_FALSE(traces.empty());
   EXPECT_EQ("output:3", traces.back());  // established-state route cached
-  ASSERT_EQ(sw.backend().flow_count(), 1u);
+  ASSERT_EQ(sw.datapath().flow_count(), 1u);
 
   sw.crash();
   // Conntrack died with the daemon: empty table, connection back to new.
@@ -448,11 +447,10 @@ TEST(StatefulRestartTest, CrashFlushesConntrackAndRepairsStaleCtMegaflows) {
   // translation.
   sw.inject(pkt, clock.now());
   EXPECT_EQ("output:2", traces.back());
-  for (DpBackend::FlowRef f : sw.backend().dump()) {
-    const XlateResult want =
-        sw.pipeline().translate(sw.backend().flow_match(f).key, clock.now(),
-                                /*side_effects=*/false);
-    EXPECT_EQ(sw.backend().flow_actions(f), want.actions);
+  for (const MegaflowEntry* f : sw.datapath().dump()) {
+    const XlateResult want = sw.pipeline().translate(
+        f->match().key, clock.now(), /*side_effects=*/false);
+    EXPECT_EQ(f->actions(), want.actions);
   }
   EXPECT_TRUE(sw.self_check().ok());
 

@@ -1,7 +1,7 @@
 // Multi-threaded revalidator tests (§4.3, §6): two-tier tag fast path
 // semantics, MAC-move repair through the plan/apply split, thread-count
-// determinism, and a TSan-targeted churn stress against the sharded
-// backend (RevalidatorStress.*, run under -DVSWITCH_TSAN in CI).
+// determinism, and a TSan-targeted churn stress against a four-worker
+// datapath (RevalidatorStress.*, run under -DVSWITCH_TSAN in CI).
 #include "vswitchd/revalidator.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "datapath/dp_backend.h"
+#include "datapath/datapath.h"
 #include "ofproto/mac_learning.h"
 #include "vswitchd/switch.h"
 
@@ -51,7 +51,7 @@ class TwoTierTest : public ::testing::Test {
  protected:
   void setup(size_t n_clients, RevalidationMode mode) {
     SwitchConfig cfg;
-    cfg.datapath_workers = 4;
+    cfg.datapath.n_workers = 4;
     cfg.reval_mode = mode;
     cfg.degradation.enabled = false;
     cfg.dynamic_flow_limit = false;
@@ -72,7 +72,7 @@ class TwoTierTest : public ::testing::Test {
     }
     // Settle: consume the setup's MAC-learning generation bump.
     tick();
-    ASSERT_EQ(sw_->backend().flow_count(), 2 * n_clients);
+    ASSERT_EQ(sw_->datapath().flow_count(), 2 * n_clients);
   }
 
   EthAddr server() const { return macs_[0]; }
@@ -152,7 +152,7 @@ TEST_F(TwoTierTest, ForcedFullPassBypassesTags) {
   setup(4, RevalidationMode::kTwoTier);
   // Corrupt an entry via the fault path equivalent: directly scramble and
   // force a full pass. Tags must not shield the corrupted entry.
-  sw_->backend().corrupt_entry(0);
+  sw_->datapath().corrupt_entry(0);
   sw_->force_full_revalidation();
   tick();
   const RevalPassStats& ps = sw_->last_reval_pass();
@@ -169,7 +169,7 @@ TEST_F(TwoTierTest, ForcedFullPassBypassesTags) {
 TEST(RevalidatorDeterminism, OutcomeIndependentOfThreadCount) {
   auto run = [](size_t threads) {
     SwitchConfig cfg;
-    cfg.datapath_workers = 2;
+    cfg.datapath.n_workers = 2;
     cfg.revalidator_threads = threads;
     Switch sw(cfg);
     for (uint32_t p = 1; p <= 4; ++p) sw.add_port(p);
@@ -204,14 +204,13 @@ TEST(RevalidatorDeterminism, OutcomeIndependentOfThreadCount) {
     sw.run_maintenance(now);
 
     std::multiset<std::string> flows;
-    DpBackend& be = sw.backend();
-    for (DpBackend::FlowRef f : be.dump())
-      flows.insert(be.flow_match(f).to_string() + " -> " +
-                   be.flow_actions(f).to_string());
+    for (const MegaflowEntry* f : sw.datapath().dump())
+      flows.insert(f->match().to_string() + " -> " +
+                   f->actions().to_string());
     return std::tuple(flows, sw.counters().reval_updated_actions,
                       sw.counters().reval_deleted_stale,
                       sw.counters().reval_flows_examined,
-                      be.flow_count());
+                      sw.datapath().flow_count());
   };
   const auto base = run(1);
   EXPECT_EQ(base, run(2));
@@ -266,15 +265,14 @@ TEST(RevalidatorDeterminism, MakespanShrinksWithThreads) {
   EXPECT_LT(s4.makespan_cycles, s1.makespan_cycles / 2);
 }
 
-// TSan churn stress: sharded workers stream packets while the control
+// TSan churn stress: datapath workers stream packets while the control
 // thread runs multi-threaded plan passes and applies repairs (RCU action
 // swaps, removes, reinstalls). No assertion beyond internal consistency —
 // the point is the data-race-free execution under -DVSWITCH_TSAN.
 TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
   DatapathConfig dcfg;
-  auto be = make_dp_backend(dcfg, 4);
-  ShardedDatapath* dp = be->sharded();
-  ASSERT_NE(dp, nullptr);
+  dcfg.n_workers = 4;
+  Datapath dp(dcfg);
 
   Pipeline pl(/*n_tables=*/4, {});
   pl.add_port(1);
@@ -301,11 +299,11 @@ TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
   // Install every flow through the real translation path.
   for (size_t i = 0; i < kFlows; ++i) {
     XlateResult xr = pl.translate(flow_pkt(i).key, kMs);
-    ASSERT_NE(be->install(xr.megaflow, xr.actions, kMs), nullptr);
+    ASSERT_NE(dp.install(xr.megaflow, xr.actions, kMs), nullptr);
   }
-  ASSERT_EQ(be->flow_count(), kFlows);
+  ASSERT_EQ(dp.flow_count(), kFlows);
 
-  dp->start();
+  dp.start();
   std::atomic<bool> stop{false};
   std::thread traffic([&] {
     uint64_t n = 0;
@@ -315,11 +313,11 @@ TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
         burst.push_back(flow_pkt((n + j) % kFlows));
       // Fixed timestamp: used_ns must never exceed the plan's now_ns, or
       // the unsigned idle-age check would see a wrapped (huge) age.
-      dp->submit(n % 4, std::move(burst), kMs);
+      dp.submit(n % 4, std::move(burst), kMs);
       ++n;
-      if ((n & 15) == 0) dp->drain();
+      if ((n & 15) == 0) dp.drain();
     }
-    dp->drain();
+    dp.drain();
   });
 
   Revalidator::Config rc;
@@ -338,33 +336,33 @@ TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
               Ipv4(10, 0, 0, static_cast<uint8_t>(pass % kFlows))),
           static_cast<int32_t>(20 + pass), OfActions().output(1));
     }
-    const std::vector<DpBackend::FlowRef> flows = be->dump();
-    const RevalPassStats ps = Revalidator::plan(
-        *be, pl, flows, kMs + 1, rc, &decisions);
+    const std::vector<MegaflowEntry*> flows = dp.dump();
+    const RevalPassStats ps =
+        Revalidator::plan(pl, flows, kMs + 1, rc, &decisions);
     EXPECT_EQ(ps.examined, flows.size());
     for (size_t i = 0; i < flows.size(); ++i) {
       RevalDecision& d = decisions[i];
       if (d.kind == RevalDecision::Kind::kUpdateActions) {
-        be->update_actions(flows[i], std::move(d.xr.actions));
+        dp.update_actions(flows[i], std::move(d.xr.actions));
       } else if (d.kind == RevalDecision::Kind::kDeleteStale) {
-        be->remove(flows[i]);
+        dp.remove(flows[i]);
       }
     }
-    be->purge_dead();
+    dp.purge_dead();
     // Keep the table populated: reinstall anything that was deleted.
-    if (be->flow_count() < kFlows) {
+    if (dp.flow_count() < kFlows) {
       for (size_t i = 0; i < kFlows; ++i) {
         XlateResult xr = pl.translate(flow_pkt(i).key, kMs);
-        be->install(xr.megaflow, xr.actions, kMs);
+        dp.install(xr.megaflow, xr.actions, kMs);
       }
     }
   }
   stop.store(true);
   traffic.join();
-  dp->drain();
-  dp->stop();
-  EXPECT_EQ(be->flow_count(), kFlows);
-  const Datapath::Stats s = be->stats();
+  dp.drain();
+  dp.stop();
+  EXPECT_EQ(dp.flow_count(), kFlows);
+  const Datapath::Stats s = dp.stats();
   EXPECT_EQ(s.packets, s.microflow_hits + s.megaflow_hits + s.misses);
 }
 

@@ -2,7 +2,7 @@
 // linear reference classifier, random rule/packet generators, and the
 // packet/trace builders the switch-level equivalence and recovery suites
 // replay. Keep these header-only and deterministic: equivalence tests
-// replay the same traces across backends and configurations, so a helper
+// replay the same traces across worker counts and configurations, so a helper
 // that drifts between suites silently weakens the comparison.
 #pragma once
 
@@ -52,14 +52,12 @@ inline Packet dp_tcp_pkt(Ipv4 dst, uint16_t sport, uint16_t dport) {
 }
 
 // Canonical rendering of the installed megaflow set, sorted so two caches
-// compare equal regardless of dump order (which differs across backends
-// and install interleavings).
+// compare equal regardless of dump order (which differs across worker
+// counts and install interleavings).
 inline std::vector<std::string> canonical_flows(const Switch& sw) {
   std::vector<std::string> out;
-  const DpBackend& be = sw.backend();
-  for (DpBackend::FlowRef f : be.dump())
-    out.push_back(be.flow_match(f).to_string() + " -> " +
-                  be.flow_actions(f).to_string());
+  for (const MegaflowEntry* f : sw.datapath().dump())
+    out.push_back(f->match().to_string() + " -> " + f->actions().to_string());
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -310,7 +310,7 @@ TEST(TupleExplosionDetector, SubtableTriggerEngagesWithHysteresis) {
   for (const Match& r : make_explosion_rules(ec))
     sw.inject(explosion_stamp(r, attack_base(), rng), clock.now());
   sw.handle_upcalls(clock.now());
-  ASSERT_GE(sw.backend().mask_count(), 16u);
+  ASSERT_GE(sw.datapath().mask_count(), 16u);
 
   clock.advance(kSecond);
   sw.run_maintenance(clock.now());
@@ -332,7 +332,7 @@ TEST(TupleExplosionDetector, SubtableTriggerEngagesWithHysteresis) {
   // HALF the engage threshold — then additive recovery resumes.
   clock.advance(cfg.idle_timeout_ns + kSecond);
   sw.run_maintenance(clock.now());  // expires the idle flows
-  ASSERT_LT(sw.backend().mask_count(), 8u);
+  ASSERT_LT(sw.datapath().mask_count(), 8u);
   clock.advance(kSecond);
   sw.run_maintenance(clock.now());  // policy pass sees the cooled table
   EXPECT_FALSE(sw.mask_explosion_active());
