@@ -33,8 +33,8 @@ constexpr uint64_t kMs = 1'000'000ULL;
 
 // ---------------------------------------------------------------------------
 // Workload 1: thread scaling. n exact-nw_dst rules produce n distinct
-// megaflows; a rule added to a never-visited table bumps the tables
-// generation, forcing a full re-translation pass over every flow.
+// megaflows; force_full_revalidation() makes each measured pass re-translate
+// every flow.
 
 SwitchConfig scaling_config() {
   SwitchConfig cfg;
@@ -144,16 +144,14 @@ int bench_main(int argc, char** argv) {
               "retrans");
   benchutil::print_rule();
   std::map<size_t, double> fps_by_threads;
-  uint32_t bump_prio = 100;
   for (size_t t = 1; t <= threads_max; t *= 2) {
     sw.set_revalidator_threads(t);
     std::vector<double> fps, ms;
     uint64_t retrans = 0;
     for (size_t r = 0; r < repeats; ++r) {
-      // Bump the tables generation without touching translation results:
-      // the rule lands in table 1, which table 0 never resubmits to.
-      sw.table(1).add_flow(MatchBuilder().ip().nw_src(Ipv4(192, 0, 2, 1)),
-                           bump_prio++, OfActions::drop());
+      // Re-translate every flow. A flow-mod no longer serves: kTwoTier
+      // re-translates only the flows a flow-mod can reach.
+      sw.force_full_revalidation();
       now += kMs;
       sw.run_maintenance(now);
       const RevalPassStats& ps = sw.last_reval_pass();

@@ -17,7 +17,32 @@ const OfRule* FlowTable::add_flow(const Match& match, int32_t priority,
   cls_.insert(r);
   rules_.push_back(std::move(owned));
   ++generation_;
+  if (log_room()) {
+    TableChangeLog::Added a{match, priority, 0};
+    a.match.normalize();
+    for (size_t i = 0; i < kFlowWords; ++i)
+      if (a.match.mask.w[i] != 0) a.words |= uint16_t{1} << i;
+    log_.note_metadata(a.match);
+    log_.added.push_back(a);
+  }
   return r;
+}
+
+void FlowTable::set_miss_behavior(MissBehavior m) {
+  if (m == miss_) return;
+  miss_ = m;
+  ++generation_;
+  log_.miss_changed = true;
+}
+
+bool FlowTable::log_room() noexcept {
+  if (log_.overflow) return false;
+  if (log_.added.size() + log_.removed.size() < TableChangeLog::kCap)
+    return true;
+  log_.overflow = true;
+  log_.added = {};
+  log_.removed = {};
+  return false;
 }
 
 bool FlowTable::delete_flow(const Match& match, int32_t priority) {
@@ -83,6 +108,7 @@ void FlowTable::clear() {
 }
 
 void FlowTable::remove_rule(OfRule* r) {
+  if (log_room()) log_.removed.push_back(r);
   cls_.remove(r);
   auto it = std::find_if(rules_.begin(), rules_.end(),
                          [&](const auto& up) { return up.get() == r; });

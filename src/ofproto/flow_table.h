@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "classifier/classifier.h"
@@ -58,11 +59,55 @@ class OfRule : public Rule {
   mutable uint64_t used_ns_ = 0;
 };
 
+// A flow table's mutations since the revalidator last drained them
+// (FlowTable::take_changes), as revalidation needs them: each added rule's
+// match and priority, each removed rule's address (compared, never
+// dereferenced: the rule is gone), and whether the miss behaviour changed.
+// Past kCap rule entries the log stops recording and sets `overflow`, and
+// the pass that drains it re-translates every flow. A table's log starts
+// overflowed, so a table nobody drains (an oracle's, a bench's) records
+// nothing, and the first drain asks for the full pass a new table needs.
+struct TableChangeLog {
+  static constexpr size_t kCap = 128;
+  struct Added {
+    Match match;
+    int32_t priority = 0;
+    uint16_t words = 0;  // bit i set: match.mask.w[i] != 0
+  };
+  std::vector<Added> added;
+  std::vector<const OfRule*> removed;
+  // The added rules' metadata values (the logical-datapath id the
+  // classifier partitions on, §5.5): bit bit_of(v) for each added
+  // rule exact on metadata; `any_metadata` once one is not. Lets a lookup
+  // whose metadata is known skip every other tenant's adds at once.
+  uint64_t metadata = 0;
+  bool any_metadata = false;
+  bool miss_changed = false;
+  bool overflow = false;
+
+  // One of 64 bits, picked by hash.
+  static uint64_t bit_of(uint64_t value) noexcept {
+    return uint64_t{1} << (hash_mix64(value) & 63);
+  }
+  void note_metadata(const Match& m) noexcept {
+    if (m.mask.is_exact(FieldId::kMetadata))
+      metadata |= bit_of(m.key.metadata());
+    else
+      any_metadata = true;
+  }
+
+  bool empty() const noexcept {
+    return added.empty() && removed.empty() && !miss_changed && !overflow;
+  }
+};
+
 class FlowTable {
  public:
   enum class MissBehavior : uint8_t { kDrop, kController };
 
-  explicit FlowTable(ClassifierConfig cfg = {}) : cls_(cfg) {}
+  explicit FlowTable(ClassifierConfig cfg = {}) : cls_(cfg) {
+    log_.overflow = true;
+  }
 
   // Adds a flow; an existing flow with the same match and priority is
   // replaced (OpenFlow semantics). Returns the rule.
@@ -109,8 +154,14 @@ class FlowTable {
   // Bumped on every modification; revalidators use it to detect staleness.
   uint64_t generation() const noexcept { return generation_; }
 
+  // Drains the change log (see TableChangeLog). Every mutation that bumps
+  // generation() also logs itself, once the log was first drained.
+  TableChangeLog take_changes() { return std::exchange(log_, {}); }
+
   MissBehavior miss_behavior() const noexcept { return miss_; }
-  void set_miss_behavior(MissBehavior m) noexcept { miss_ = m; }
+  // A miss-behaviour change alters what every missing translation emits,
+  // so it bumps generation() like a rule change.
+  void set_miss_behavior(MissBehavior m);
 
   const Classifier& classifier() const noexcept { return cls_; }
 
@@ -122,11 +173,14 @@ class FlowTable {
 
  private:
   void remove_rule(OfRule* r);
+  // Reserves one rule entry in the log; false once it overflowed.
+  bool log_room() noexcept;
 
   Classifier cls_;
   std::vector<std::unique_ptr<OfRule>> rules_;
   uint64_t generation_ = 0;
   MissBehavior miss_ = MissBehavior::kDrop;
+  TableChangeLog log_;
 };
 
 }  // namespace ovs

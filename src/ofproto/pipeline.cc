@@ -43,6 +43,92 @@ uint64_t Pipeline::generation() const noexcept {
   return port_generation_ + mac_.generation() + tables_generation();
 }
 
+TableChanges Pipeline::take_table_changes() {
+  TableChanges out;
+  out.tables.reserve(tables_.size());
+  for (size_t t = 0; t < tables_.size(); ++t) {
+    TableChangeLog log = tables_[t]->take_changes();
+    if (!log.empty()) out.changed |= 1u << t;
+    out.overflow |= log.overflow;
+    std::sort(log.removed.begin(), log.removed.end());
+    out.tables.push_back(std::move(log));
+  }
+  return out;
+}
+
+bool TableDeps::stale(const Match& installed,
+                      const TableChanges& changes) const noexcept {
+  if (overflow || changes.overflow) return true;
+  if ((tables & changes.changed) == 0) return false;
+  for (uint8_t i = 0; i < n_visits; ++i) {
+    const Visit& v = visits[i];
+    if ((changes.changed & (1u << v.table)) == 0) continue;
+    const TableChangeLog& log = changes.tables[v.table];
+    if (v.winner == nullptr) {
+      if (log.miss_changed) return true;
+    } else if (std::binary_search(log.removed.begin(), log.removed.end(),
+                                  v.winner)) {
+      // Only a visit's winner matters among the removed rules: a removed
+      // non-winner never won these packets' lookups. Checked before any
+      // shortcut: an unmarked flow's attribution keeps feeding statistics
+      // to its rules, so a missed removal would write through a freed rule.
+      return true;
+    }
+    // An added rule exact on another metadata value cannot match this
+    // lookup's key.
+    uint64_t md;
+    if (!log.any_metadata && metadata_at(v, installed, &md) &&
+        (log.metadata & TableChangeLog::bit_of(md)) == 0)
+      continue;
+    for (const TableChangeLog::Added& a : log.added) {
+      // Below the winner it cannot win; at equal priority it might.
+      if (v.winner != nullptr && a.priority < v.priority) continue;
+      if (intersects(a, v, installed)) return true;
+    }
+  }
+  return false;
+}
+
+bool TableDeps::metadata_at(const Visit& v, const Match& installed,
+                            uint64_t* md) const noexcept {
+  for (uint8_t j = v.n_rewrites; j-- > 0;) {
+    if (rw_field[j] == FieldId::kMetadata) {
+      *md = rw_value[j];
+      return true;
+    }
+  }
+  if (!installed.mask.is_exact(FieldId::kMetadata)) return false;
+  *md = installed.key.metadata();
+  return true;
+}
+
+bool TableDeps::intersects(const TableChangeLog::Added& a, const Visit& v,
+                           const Match& installed) const noexcept {
+  // The lookup key at this visit is the packet with the first n_rewrites
+  // rewrites applied. On rewritten bits every packet of the region carries
+  // the rewritten constant; on the others, the bits the installed mask
+  // fixes, and anything where it wildcards.
+  for (uint16_t words = a.words; words != 0; words &= words - 1) {
+    const auto w = static_cast<size_t>(__builtin_ctz(words));
+    uint64_t rw_mask = 0, rw_val = 0;
+    for (uint8_t j = 0; j < v.n_rewrites; ++j) {
+      const FieldInfo& fi = field_info(rw_field[j]);
+      if (fi.word != w) continue;
+      const uint64_t fm = fi.width == 64
+                              ? ~uint64_t{0}
+                              : ((uint64_t{1} << fi.width) - 1) << fi.shift;
+      rw_mask |= fm;
+      rw_val = (rw_val & ~fm) | ((rw_value[j] << fi.shift) & fm);
+    }
+    const uint64_t rm = a.match.mask.w[w];
+    const uint64_t rk = a.match.key.w[w];
+    if (((rk ^ rw_val) & rm & rw_mask) != 0) return false;
+    if (((rk ^ installed.key.w[w]) & rm & installed.mask.w[w] & ~rw_mask) != 0)
+      return false;
+  }
+  return true;
+}
+
 uint64_t Pipeline::tables_generation() const noexcept {
   uint64_t g = 0;
   for (const auto& t : tables_) g += t->generation();
@@ -63,6 +149,7 @@ struct Pipeline::XlateCtx {
   uint64_t tags = 0;
   std::vector<const OfRule*> matched_rules;
   CtDeps ct;
+  TableDeps tables;
 
   // Merge a lookup's consulted bits, suppressing rewritten ones: reads of a
   // rewritten field observed the written value, not packet bits.
@@ -80,6 +167,7 @@ struct Pipeline::XlateCtx {
   void set_field(FieldId f, uint64_t v) noexcept {
     key.set(f, v);
     modified.set_exact(f);
+    tables.rewrite(f, v);
   }
 };
 
@@ -184,6 +272,7 @@ void Pipeline::xlate_table(XlateCtx& ctx, size_t table_id, int depth,
   }
   ctx.absorb(consulted);
   ++ctx.table_lookups;
+  ctx.tables.visit(table_id, rule);
 
   if (rule == nullptr) {
     if (table.miss_behavior() == FlowTable::MissBehavior::kController) {
@@ -337,6 +426,9 @@ XlateResult Pipeline::translate_one(const FlowKey& pkt, uint64_t now_ns,
   res.tags = ctx.tags;
   res.matched_rules = std::move(ctx.matched_rules);
   res.ct = ctx.ct;
+  res.tables = ctx.tables;
+  // A failed translation's visits are incomplete.
+  res.tables.overflow |= ctx.error;
   return res;
 }
 

@@ -20,6 +20,11 @@
 //     tracker's change stamp (XlateResult::ct), and the Switch layer
 //     re-translates exactly the megaflows whose connections were committed,
 //     torn down, expired or evicted since (ct_reval_dirty).
+//   * Where OVS re-translates every flow after a flow-mod, flow-table
+//     dependencies are tracked like conntrack ones: each translation
+//     records its table visits (XlateResult::tables), each table logs its
+//     mutations, and the Switch layer re-translates only the megaflows a
+//     logged flow-mod can reach (TableDeps::stale).
 #pragma once
 
 #include <array>
@@ -36,6 +41,87 @@
 
 namespace ovs {
 
+// Flow-table mutations across a pipeline since the previous
+// Pipeline::take_table_changes(): one TableChangeLog per table, each with
+// its removed addresses sorted.
+struct TableChanges {
+  std::vector<TableChangeLog> tables;  // indexed by table id
+  uint32_t changed = 0;  // bit t set: table t's log is not empty
+  bool overflow = false;  // some log overflowed: judge every flow stale
+
+  bool empty() const noexcept { return changed == 0; }
+};
+
+// The flow-table inputs of one translation, so that a flow-mod re-translates
+// only the megaflows it can reach (DESIGN.md §8). Each visit is one table
+// lookup: the table, its winner (or a miss) and the winner's priority, and
+// how many of the rewrites (set_field, NAT, ct_state) the translation had
+// made before it. Every packet in a megaflow's region takes the same visits
+// with the same winners, and at each visit its lookup key is the packet
+// with those rewrites applied. Inline records, no heap: past kMaxVisits
+// visits or kMaxRewrites rewrites that precede a visit, `overflow` is set
+// and every table change counts as one of the translation's inputs.
+struct TableDeps {
+  static constexpr size_t kMaxVisits = 5;
+  static constexpr size_t kMaxRewrites = 5;
+  struct Visit {
+    // Compared by address only once the rule may be gone.
+    const OfRule* winner = nullptr;  // nullptr: the lookup missed
+    int32_t priority = 0;            // the winner's
+    uint8_t table = 0;
+    uint8_t n_rewrites = 0;  // rewrites made before this lookup
+  };
+  // The summary stale() reads first, then the visits, then the rewrites,
+  // which only an intersection test reads.
+  bool overflow = false;
+  uint8_t n_visits = 0;
+  uint8_t n_rewrites = 0;  // saturates; only the first kMaxRewrites kept
+  uint16_t tables = 0;     // bit t set: some visit looked up table t
+  std::array<Visit, kMaxVisits> visits{};
+  std::array<FieldId, kMaxRewrites> rw_field{};
+  std::array<uint64_t, kMaxRewrites> rw_value{};
+
+  void rewrite(FieldId f, uint64_t v) noexcept {
+    // A 128-bit field does not fit one value slot.
+    if (field_info(f).width > 64) n_rewrites = kMaxRewrites + 1;
+    if (n_rewrites < kMaxRewrites) {
+      rw_field[n_rewrites] = f;
+      rw_value[n_rewrites] = v;
+    }
+    if (n_rewrites <= kMaxRewrites) ++n_rewrites;
+  }
+  void visit(size_t table, const OfRule* winner) noexcept {
+    if (n_visits == kMaxVisits || n_rewrites > kMaxRewrites) {
+      overflow = true;
+      return;
+    }
+    Visit& v = visits[n_visits++];
+    v.winner = winner;
+    v.priority = winner == nullptr ? 0 : winner->priority();
+    v.table = static_cast<uint8_t>(table);
+    v.n_rewrites = n_rewrites;
+    tables |= static_cast<uint16_t>(1u << table);
+  }
+
+  // Could a packet in `installed` translate differently after `changes`?
+  // True when a visited table's log overflowed, a visit's winner was
+  // removed, a rule added to a visited table at or above that visit's
+  // winner priority intersects the region at that visit, or a visited
+  // table that missed changed its miss behaviour. Conservative: an address
+  // reused by a new rule, or an intersection no real packet reaches, only
+  // costs a re-translation.
+  bool stale(const Match& installed,
+             const TableChanges& changes) const noexcept;
+
+ private:
+  bool intersects(const TableChangeLog::Added& a, const Visit& v,
+                  const Match& installed) const noexcept;
+  // The metadata every packet of the region carries at this visit, when
+  // one value is known: rewritten before it, or exact in `installed`.
+  bool metadata_at(const Visit& v, const Match& installed,
+                   uint64_t* md) const noexcept;
+};
+
 struct XlateResult {
   Match megaflow;          // generated cache entry match
   DpActions actions;       // flattened datapath actions
@@ -51,6 +137,8 @@ struct XlateResult {
   // Conntrack inputs: the tracker stamp when translation started and the
   // connections do_ct looked up (revalidation dependencies, §6).
   CtDeps ct;
+  // Flow-table inputs: the tables visited, winners and rewrites.
+  TableDeps tables;
 };
 
 class Pipeline {
@@ -124,6 +212,9 @@ class Pipeline {
 
   // Changes on add_port / remove_port only.
   uint64_t ports_generation() const noexcept { return port_generation_; }
+
+  // Drains every table's change log (FlowTable::take_changes).
+  TableChanges take_table_changes();
 
  private:
   struct XlateCtx;

@@ -202,16 +202,44 @@ bool Scenario::deserialize(const std::string& text, Scenario* out) {
 
 namespace {
 
+// NVP-shaped logical pipelines (the §3.2 network-virtualization shape):
+// table 0 tags a port's traffic with a tenant in metadata and resubmits to
+// kTenantTable, where per-tenant ACLs match the rewritten metadata and a
+// per-tenant default writes the egress port to reg1 for kEgressTable.
+constexpr uint8_t kTenantTable = 3;
+constexpr uint8_t kEgressTable = 4;
+constexpr uint16_t kAclPorts[] = {80, 443, 8080};
+
+std::string tenant_ingress(uint64_t port, uint64_t tenant) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "priority=16, in_port=%" PRIu64
+                ", ip, actions=set_field:%" PRIu64 "->metadata, resubmit(,%u)",
+                port, tenant, kTenantTable);
+  return buf;
+}
+
+std::string tenant_default(uint64_t tenant, uint64_t out_port) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "table=%u, priority=5, metadata=%" PRIu64
+                ", actions=set_field:%" PRIu64 "->reg1, resubmit(,%u)",
+                kTenantTable, tenant, out_port, kEgressTable);
+  return buf;
+}
+
 // The rule-template family. All templates avoid NORMAL and ct(commit) so
 // the packet fate is a pure function of the flow tables plus the
 // explicitly-mutated connection table (see header comment), yet together
 // they exercise priorities, CIDR prefixes (megaflow widening), resubmit,
-// set-field, tunnels, controller sends, and drops. Lookup-only ct rules are
-// part of the fixed prologue (below), not this random family.
+// set-field (including metadata/register rewrites that later tables
+// match), tunnels, controller sends, and drops. Lookup-only ct rules and
+// the NVP skeleton are part of the fixed prologue (below).
 std::string make_rule(Rng& rng, uint32_t n_ports, int* reroute_priority) {
   char buf[160];
   const auto port = [&] { return 1 + rng.uniform(n_ports); };
-  switch (rng.uniform(8)) {
+  const auto tenant = [&] { return 1 + rng.uniform(2); };
+  switch (rng.uniform(11)) {
     case 0:  // /16 prefix route
       std::snprintf(buf, sizeof(buf),
                     "priority=10, ip, nw_dst=10.%" PRIu64
@@ -242,8 +270,8 @@ std::string make_rule(Rng& rng, uint32_t n_ports, int* reroute_priority) {
       return buf;
     case 6:  // blocklisted source range
       return "priority=8, ip, nw_src=11.0.0.0/8, actions=drop";
-    default: {  // reroute: shadow earlier service routes at higher priority,
-                // optionally remarking TOS on the way out
+    case 7: {  // reroute: shadow earlier service routes at higher priority,
+               // optionally remarking TOS on the way out
       const int prio = (*reroute_priority)++;
       if (rng.chance(0.5)) {
         std::snprintf(buf, sizeof(buf),
@@ -257,19 +285,41 @@ std::string make_rule(Rng& rng, uint32_t n_ports, int* reroute_priority) {
       }
       return buf;
     }
+    case 8: {  // move a port into a tenant's logical pipeline
+      const uint64_t p = port();
+      const uint64_t t = tenant();
+      return tenant_ingress(p, t);
+    }
+    case 9: {  // tenant ACL on the rewritten metadata
+      const uint64_t t = tenant();
+      const uint16_t dport = kAclPorts[rng.uniform(std::size(kAclPorts))];
+      std::snprintf(buf, sizeof(buf),
+                    "table=%u, priority=20, metadata=%" PRIu64
+                    ", tcp, tp_dst=%u, actions=drop",
+                    kTenantTable, t, dport);
+      return buf;
+    }
+    default: {  // re-point a tenant's egress (same-match replace)
+      const uint64_t t = tenant();
+      return tenant_default(t, port());
+    }
   }
 }
 
 // Loose-match delete specs; never table-wide so scenarios keep forwarding.
 std::string make_delete(Rng& rng) {
   char buf[96];
-  switch (rng.uniform(3)) {
+  switch (rng.uniform(4)) {
     case 0:
       std::snprintf(buf, sizeof(buf), "ip, nw_dst=10.%" PRIu64 ".0.0/16",
                     rng.uniform(8));
       return buf;
     case 1:
       return "tcp, tp_dst=443";
+    case 2:  // one tenant's ACLs
+      std::snprintf(buf, sizeof(buf), "table=%u, metadata=%" PRIu64 ", tcp",
+                    kTenantTable, 1 + rng.uniform(2));
+      return buf;
     default:
       return "udp, tp_dst=53";
   }
@@ -430,6 +480,30 @@ Scenario generate_scenario(uint64_t seed, const GeneratorConfig& cfg) {
                   "table=2, priority=1, actions=output:%" PRIu64, out_port());
     ct_rules.push_back(buf);
     for (std::string& r : ct_rules) {
+      FuzzEvent ev;
+      ev.kind = FuzzEvent::Kind::kAddFlow;
+      ev.text = std::move(r);
+      sc.events.push_back(std::move(ev));
+    }
+  }
+  // NVP skeleton: one port in a tenant's logical pipeline, both tenants'
+  // defaults, and the egress table. Random events add ACLs, move ports and
+  // re-point defaults on top of it.
+  {
+    std::vector<std::string> nvp_rules;
+    const auto out_port = [&] { return 1 + rng.uniform(cfg.n_ports); };
+    const uint64_t p = out_port();
+    nvp_rules.push_back(tenant_ingress(p, 1 + rng.uniform(2)));
+    for (uint64_t t : {1u, 2u})
+      nvp_rules.push_back(tenant_default(t, out_port()));
+    for (uint32_t q = 1; q <= cfg.n_ports; ++q) {
+      char buf[96];
+      std::snprintf(buf, sizeof(buf),
+                    "table=%u, priority=10, reg1=%u, actions=output:%u",
+                    kEgressTable, q, q);
+      nvp_rules.push_back(buf);
+    }
+    for (std::string& r : nvp_rules) {
       FuzzEvent ev;
       ev.kind = FuzzEvent::Kind::kAddFlow;
       ev.text = std::move(r);

@@ -1,6 +1,7 @@
 #include "vswitchd/revalidator.h"
 
 #include <algorithm>
+#include <iterator>
 #include <thread>
 
 namespace ovs {
@@ -11,9 +12,31 @@ struct PartStats {
   uint64_t examined = 0;
   uint64_t retranslated = 0;
   uint64_t skipped_by_tags = 0;
-  uint64_t skipped_ct_clean = 0;
   double cycles = 0;
+  // This partition's captured translations; RevalDecision::xlate indexes
+  // into it until plan() concatenates the partitions.
+  std::vector<RevalXlate> xlates;
 };
+
+bool is_idle(const MegaflowEntry* f, uint64_t now_ns,
+             const Revalidator::Config& cfg) {
+  return now_ns - f->used_ns() > cfg.idle_ns;
+}
+
+// Tier 1 (§4.3): untouched tags, connections and table inputs mean this
+// flow's translation cannot have changed — modulo Bloom false positives,
+// connection-hash collisions and conservative table marks, which only cost
+// an unnecessary re-translation, never a missed repair.
+bool tier1_skip(const MegaflowEntry* f, size_t i,
+                const Revalidator::Config& cfg) {
+  return cfg.use_tags && (f->tags & cfg.changed_tags) == 0 &&
+         (cfg.stale.empty() || cfg.stale[i] == 0);
+}
+
+RevalXlate slim(XlateResult&& xr) {
+  return {std::move(xr.actions), xr.tags, std::move(xr.matched_rules), xr.ct,
+          xr.tables};
+}
 
 // One partition of the plan phase. Read-only against the datapath and the
 // pipeline (translate with side_effects=false), so partitions are
@@ -21,14 +44,25 @@ struct PartStats {
 PartStats plan_range(Pipeline& pl, const std::vector<MegaflowEntry*>& flows,
                      size_t lo, size_t hi, uint64_t now_ns,
                      const Revalidator::Config& cfg,
-                     std::vector<RevalDecision>& decisions) {
+                     std::vector<RevalDecision>& decisions,
+                     std::vector<RevalXlate> xlates) {
   PartStats ps;
+  ps.xlates = std::move(xlates);
+  // Size the captured translations up front: an upper bound on them, so
+  // the vector never regrows mid-pass.
+  if (cfg.maybe_stale) {
+    size_t n_xlate = 0;
+    for (size_t i = lo; i < hi; ++i)
+      n_xlate +=
+          !is_idle(flows[i], now_ns, cfg) && !tier1_skip(flows[i], i, cfg);
+    ps.xlates.reserve(n_xlate);
+  }
   for (size_t i = lo; i < hi; ++i) {
     const MegaflowEntry* f = flows[i];
     RevalDecision& d = decisions[i];
     ++ps.examined;
     ps.cycles += cfg.reval_per_flow;
-    if (now_ns - f->used_ns() > cfg.idle_ns) {
+    if (is_idle(f, now_ns, cfg)) {
       d.kind = RevalDecision::Kind::kDeleteIdle;
       continue;
     }
@@ -36,15 +70,9 @@ PartStats plan_range(Pipeline& pl, const std::vector<MegaflowEntry*>& flows,
       d.kind = RevalDecision::Kind::kSkipClean;
       continue;
     }
-    if (cfg.use_tags && (f->tags & cfg.changed_tags) == 0 &&
-        (cfg.ct_stale.empty() || cfg.ct_stale[i] == 0)) {
-      // Tier 1 (§4.3): untouched tags and connections mean this flow's
-      // translation inputs cannot have changed — modulo Bloom false
-      // positives and connection-hash collisions, which only cost an
-      // unnecessary re-translation, never a missed repair.
+    if (tier1_skip(f, i, cfg)) {
       d.kind = RevalDecision::Kind::kSkipTags;
       ++ps.skipped_by_tags;
-      if (!cfg.ct_stale.empty()) ++ps.skipped_ct_clean;
       continue;
     }
     // Tier 2: full re-translation through the current tables. Translate
@@ -76,10 +104,12 @@ PartStats plan_range(Pipeline& pl, const std::vector<MegaflowEntry*>& flows,
     }
     if (covers && xr.actions == f->actions()) {
       d.kind = RevalDecision::Kind::kKeepFresh;
-      d.xr = std::move(xr);
+      d.xlate = static_cast<uint32_t>(ps.xlates.size());
+      ps.xlates.push_back(slim(std::move(xr)));
     } else if (xr.megaflow.mask == inst_mask) {
       d.kind = RevalDecision::Kind::kUpdateActions;
-      d.xr = std::move(xr);
+      d.xlate = static_cast<uint32_t>(ps.xlates.size());
+      ps.xlates.push_back(slim(std::move(xr)));
     } else {
       d.kind = RevalDecision::Kind::kDeleteStale;
     }
@@ -92,8 +122,12 @@ PartStats plan_range(Pipeline& pl, const std::vector<MegaflowEntry*>& flows,
 RevalPassStats Revalidator::plan(Pipeline& pl,
                                  const std::vector<MegaflowEntry*>& flows,
                                  uint64_t now_ns, const Config& cfg,
-                                 std::vector<RevalDecision>* decisions) {
-  decisions->assign(flows.size(), RevalDecision{});
+                                 RevalPlan* plan) {
+  std::vector<RevalDecision>& decisions = plan->decisions;
+  decisions.assign(flows.size(), RevalDecision{});
+  // Partition 0 appends straight into the plan's own vector (keeping its
+  // capacity across passes); the others are appended after the join.
+  plan->xlates.clear();
 
   const size_t want = std::max<size_t>(1, cfg.n_threads);
   // Spawning a thread for a handful of flows costs more than it saves.
@@ -101,11 +135,11 @@ RevalPassStats Revalidator::plan(Pipeline& pl,
       flows.empty() ? 1 : std::min(want, (flows.size() + 63) / 64);
 
   std::vector<PartStats> parts(n_threads);
+  const size_t chunk = (flows.size() + n_threads - 1) / n_threads;
   if (n_threads == 1) {
-    parts[0] = plan_range(pl, flows, 0, flows.size(), now_ns, cfg,
-                          *decisions);
+    parts[0] = plan_range(pl, flows, 0, flows.size(), now_ns, cfg, decisions,
+                          std::move(plan->xlates));
   } else {
-    const size_t chunk = (flows.size() + n_threads - 1) / n_threads;
     std::vector<std::thread> pool;
     pool.reserve(n_threads - 1);
     for (size_t t = 1; t < n_threads; ++t) {
@@ -113,13 +147,33 @@ RevalPassStats Revalidator::plan(Pipeline& pl,
       const size_t hi = std::min(flows.size(), lo + chunk);
       if (lo == hi) continue;
       pool.emplace_back([&, t, lo, hi] {
-        parts[t] =
-            plan_range(pl, flows, lo, hi, now_ns, cfg, *decisions);
+        parts[t] = plan_range(pl, flows, lo, hi, now_ns, cfg, decisions, {});
       });
     }
     parts[0] = plan_range(pl, flows, 0, std::min(flows.size(), chunk),
-                          now_ns, cfg, *decisions);
+                          now_ns, cfg, decisions, std::move(plan->xlates));
     for (std::thread& th : pool) th.join();
+  }
+
+  // Concatenate the partitions' translations in dump order, rebasing each
+  // partition's decision indices past the ones before it.
+  plan->xlates = std::move(parts[0].xlates);
+  size_t total = 0;
+  for (const PartStats& ps : parts) total += ps.xlates.size();
+  plan->xlates.reserve(total);
+  for (size_t t = 1; t < n_threads; ++t) {
+    if (parts[t].xlates.empty()) continue;
+    const auto base = static_cast<uint32_t>(plan->xlates.size());
+    const size_t lo = std::min(flows.size(), t * chunk);
+    const size_t hi = std::min(flows.size(), lo + chunk);
+    for (size_t i = lo; i < hi; ++i) {
+      RevalDecision& d = decisions[i];
+      if (d.kind == RevalDecision::Kind::kKeepFresh ||
+          d.kind == RevalDecision::Kind::kUpdateActions)
+        d.xlate += base;
+    }
+    std::move(parts[t].xlates.begin(), parts[t].xlates.end(),
+              std::back_inserter(plan->xlates));
   }
 
   RevalPassStats out;
@@ -128,7 +182,6 @@ RevalPassStats Revalidator::plan(Pipeline& pl,
     out.examined += ps.examined;
     out.retranslated += ps.retranslated;
     out.skipped_by_tags += ps.skipped_by_tags;
-    out.skipped_ct_clean += ps.skipped_ct_clean;
     out.total_cycles += ps.cycles;
     out.makespan_cycles = std::max(out.makespan_cycles, ps.cycles);
   }

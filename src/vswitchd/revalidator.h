@@ -7,11 +7,12 @@
 //   * plan — the dumped flow list is partitioned contiguously across N
 //     threads; each thread re-translates its flows with side_effects=false
 //     (translation is read-only against the pipeline: classifier lookups,
-//     MAC lookups, conntrack lookups) and records a per-flow verdict plus
-//     the captured XlateResult. A two-tier fast path consults the pipeline
-//     generation counters, the per-flow Bloom tags and the per-flow
-//     conntrack marks first, skipping the full re-translation for flows
-//     whose inputs cannot have changed.
+//     MAC lookups, conntrack lookups) and records a per-flow verdict plus,
+//     for re-translated survivors, the captured XlateResult. A two-tier
+//     fast path consults the pipeline generation counters, the per-flow
+//     Bloom tags and the per-flow staleness marks (conntrack and flow
+//     tables) first, skipping the full re-translation for flows whose
+//     inputs cannot have changed.
 //   * apply — the control thread walks the verdicts in dump order and
 //     performs every mutation: batched deletes, RCU action swaps
 //     (update_actions), attribution refresh, statistics pushes. Keeping all
@@ -37,13 +38,35 @@ struct RevalDecision {
   enum class Kind : uint8_t {
     kDeleteIdle,     // past the idle timeout: evict
     kSkipClean,      // nothing in the pipeline changed since the last pass
-    kSkipTags,       // tag fast path: this flow's inputs did not change
-    kKeepFresh,      // re-translated; actions unchanged (xr captured)
-    kUpdateActions,  // re-translated; same shape, new actions (xr captured)
+    kSkipTags,       // tier-1 fast path: this flow's inputs did not change
+    kKeepFresh,      // re-translated; actions unchanged (xlate captured)
+    kUpdateActions,  // re-translated; same shape, new actions (xlate captured)
     kDeleteStale,    // re-translated; megaflow shape changed: evict
   };
   Kind kind = Kind::kSkipClean;
-  XlateResult xr;  // valid for kKeepFresh / kUpdateActions only
+  // Index into RevalPlan::xlates; valid for kKeepFresh / kUpdateActions.
+  uint32_t xlate = 0;
+};
+
+// What the apply phase needs from a re-translated flow that survives: the
+// XlateResult minus the megaflow match, which plan() already compared with
+// the installed one.
+struct RevalXlate {
+  DpActions actions;
+  uint64_t tags = 0;
+  std::vector<const OfRule*> matched_rules;
+  CtDeps ct;
+  TableDeps tables;
+};
+
+// One pass's plan. Only re-translated survivors carry a RevalXlate, so a
+// pass that skips most flows writes a few bytes for each of them, not a
+// whole translation.
+struct RevalPlan {
+  std::vector<RevalDecision> decisions;  // indexed like the dump
+  std::vector<RevalXlate> xlates;        // in dump order
+
+  RevalXlate& xlate(const RevalDecision& d) { return xlates[d.xlate]; }
 };
 
 struct RevalPassStats {
@@ -51,7 +74,8 @@ struct RevalPassStats {
   uint64_t retranslated = 0;     // flows that paid a full re-translation
   uint64_t skipped_by_tags = 0;  // flows the tag fast path short-circuited
   // The subset of skipped_by_tags whose conntrack mark was consulted and
-  // clean: skips in a pass where conntrack had changed.
+  // clean: skips in a pass where conntrack had changed (set by the Switch,
+  // which knows what fed the marks).
   uint64_t skipped_ct_clean = 0;
   double total_cycles = 0;       // CPU work, summed over partitions
   double makespan_cycles = 0;    // modeled pass latency: max over partitions
@@ -70,12 +94,12 @@ class Revalidator {
     // before paying for a re-translation.
     bool use_tags = false;
     uint64_t changed_tags = 0;
-    // Per-flow conntrack marks, indexed like the dumped flow list: nonzero
-    // when a connection the flow's translation consulted changed since
-    // (CtDeps::stale). With marks present, the tier-1 skip needs clean tags
-    // AND a clean mark; empty means conntrack did not change (or its
-    // changes are ignored) and tags alone decide.
-    std::span<const uint8_t> ct_stale;
+    // Per-flow staleness marks, indexed like the dumped flow list: nonzero
+    // when a connection or a flow table the flow's translation consulted
+    // changed since (CtDeps::stale, TableDeps::stale). With marks present,
+    // the tier-1 skip needs clean tags AND a clean mark; empty means
+    // neither changed (or their changes are ignored) and tags alone decide.
+    std::span<const uint8_t> stale;
     // Cost model (sim/cost_model.h): cycles per examined flow and per
     // classifier lookup during re-translation.
     double reval_per_flow = 0;
@@ -85,11 +109,12 @@ class Revalidator {
   // Plans one pass over `flows` (a datapath dump). Thread-safe against
   // concurrent fast-path traffic; the caller must not mutate the datapath
   // or the pipeline until plan() returns. Decisions land at the flow's dump
-  // index, so the serial apply is deterministic regardless of n_threads.
+  // index and xlates in dump order, so the serial apply is deterministic
+  // regardless of n_threads.
   static RevalPassStats plan(Pipeline& pl,
                              const std::vector<MegaflowEntry*>& flows,
                              uint64_t now_ns, const Config& cfg,
-                             std::vector<RevalDecision>* decisions);
+                             RevalPlan* plan);
 };
 
 }  // namespace ovs

@@ -355,6 +355,7 @@ Switch::InstallResult Switch::install_from_xlate(const XlateResult& xr,
     at.rules = xr.matched_rules;
     at.captured_gen = pipeline_.tables_generation();
     at.ct = xr.ct;
+    at.tables = xr.tables;
     res = InstallResult::kInstalled;
   } else {
     ++counters_.setup_dups;
@@ -530,11 +531,13 @@ void Switch::revalidate(uint64_t now_ns) {
   // ct_state feeds classification, so conntrack mutations are a dirtiness
   // source of their own. Gated by ct_reval_dirty: the ablation the
   // differential fuzzer must catch serves stale ct_state megaflows here.
-  // The per-connection stamps are drained on every pass, so each one is
-  // judged against the flows alive when it is taken, exactly once.
+  // The per-connection stamps and the flow-table change logs are drained
+  // on every pass, so each change is judged against the flows alive when
+  // it is taken, exactly once.
   ConnTracker& ct = pipeline_.conntrack();
   const uint64_t ct_gen = ct.generation();
   const ConnTracker::Changes ct_changes = ct.take_changes();
+  const TableChanges table_changes = pipeline_.take_table_changes();
   const bool ct_dirty =
       cfg_.ct_reval_dirty && ct_gen != ct_gen_at_last_reval_;
   const bool maybe_stale =
@@ -550,42 +553,56 @@ void Switch::revalidate(uint64_t now_ns) {
   // kTags (historical): tags gate re-translation even when a full pass was
   // forced — its documented weakness. kTwoTier drops the fast path when a
   // full pass is forced (entry corruption bypasses the generation
-  // counters), so faulted entries are always repaired; and because tags
-  // track only MAC bindings, it also drops it whenever the tables or ports
-  // generation moved — a rule or port change can invalidate flows whose
-  // tags never change, so only MAC-driven staleness may take the tier-1
-  // skip (the soundness condition behind making kTwoTier the default).
-  // Conntrack changes never show up in tags, but every ct-dependent
-  // megaflow records the connections it consulted: when conntrack moved,
-  // kTwoTier keeps the fast path and marks below exactly the flows whose
-  // connections changed, which the plan then re-translates.
+  // counters), so faulted entries are always repaired; when the ports
+  // moved (a port change can alter any flood set); and when a flow-table
+  // change log overflowed. Otherwise tags cover MAC-driven staleness and
+  // per-flow marks cover the rest: every megaflow records the connections
+  // and the flow-table lookups its translation made, and the marks below
+  // select exactly the flows a conntrack change or a flow-mod can reach.
+  const bool two_tier = cfg_.reval_mode == RevalidationMode::kTwoTier;
   rc.use_tags =
       cfg_.reval_mode == RevalidationMode::kTags ||
-      (cfg_.reval_mode == RevalidationMode::kTwoTier && !reval_force_full_ &&
-       tables_gen == tables_gen_at_last_reval_ &&
-       ports_gen == ports_gen_at_last_reval_);
+      (two_tier && !reval_force_full_ &&
+       ports_gen == ports_gen_at_last_reval_ && !table_changes.overflow);
   rc.changed_tags = changed_tags;
   rc.reval_per_flow = m.reval_per_flow;
   rc.per_table_lookup = m.per_table_lookup;
 
   std::vector<MegaflowEntry*> flows = dp_.dump();
-  // A flow is ct-stale when a connection it consulted was stamped after its
-  // translation started, the tracker was flushed since, or it has no
-  // attribution (its dependencies are unknown). kTags keeps its historical
-  // tags-only rule.
-  ct_stale_.clear();
-  if (ct_dirty && rc.use_tags &&
-      cfg_.reval_mode == RevalidationMode::kTwoTier) {
-    ct_stale_.resize(flows.size());
-    for (size_t i = 0; i < flows.size(); ++i) {
-      auto it = attribution_.find(flows[i]);
-      ct_stale_[i] = it == attribution_.end() ||
-                     it->second.ct.stale(ct, ct_changes);
+  // One attribution lookup per flow per pass, shared by the marks and the
+  // apply phase.
+  flow_at_.resize(flows.size());
+  for (size_t i = 0; i < flows.size(); ++i) {
+    auto it = attribution_.find(flows[i]);
+    flow_at_[i] = it == attribution_.end() ? nullptr : &it->second;
+    // The marks below read the dependency records; start their loads now.
+    if (flow_at_[i] != nullptr) {
+      const auto* rec = reinterpret_cast<const char*>(&flow_at_[i]->tables);
+      __builtin_prefetch(rec + 64);
+      __builtin_prefetch(rec + 128);
     }
   }
-  rc.ct_stale = ct_stale_;
-  last_pass_ = Revalidator::plan(pipeline_, flows, now_ns, rc,
-                                 &decisions_);
+  // A flow is stale when a connection it consulted was stamped after its
+  // translation started or the tracker was flushed since (CtDeps), when a
+  // flow-mod can reach one of its table lookups (TableDeps), or when it has
+  // no attribution (its dependencies are unknown). kTags keeps its
+  // historical tags-only rule.
+  const bool tables_dirty = !table_changes.empty();
+  stale_.clear();
+  if (two_tier && rc.use_tags && (ct_dirty || tables_dirty)) {
+    stale_.resize(flows.size());
+    for (size_t i = 0; i < flows.size(); ++i) {
+      const Attribution* at = flow_at_[i];
+      stale_[i] = at == nullptr ||
+                  (ct_dirty && at->ct.stale(ct, ct_changes)) ||
+                  (tables_dirty &&
+                   at->tables.stale(flows[i]->match(), table_changes));
+    }
+  }
+  rc.stale = stale_;
+  last_pass_ = Revalidator::plan(pipeline_, flows, now_ns, rc, &plan_);
+  if (ct_dirty && !stale_.empty())
+    last_pass_.skipped_ct_clean = last_pass_.skipped_by_tags;
   counters_.reval_flows_examined += last_pass_.examined;
   counters_.reval_skipped_by_tags += last_pass_.skipped_by_tags;
   counters_.reval_skipped_ct_clean += last_pass_.skipped_ct_clean;
@@ -603,50 +620,57 @@ void Switch::revalidate(uint64_t now_ns) {
   // control thread, so the outcome is independent of the thread count.
   for (size_t i = 0; i < flows.size(); ++i) {
     MegaflowEntry* f = flows[i];
-    RevalDecision& d = decisions_[i];
+    Attribution* at = flow_at_[i];
+    const RevalDecision& d = plan_.decisions[i];
     switch (d.kind) {
       case RevalDecision::Kind::kDeleteIdle:
-        push_flow_stats(f, now_ns);  // final stats (validated internally)
-        attribution_.erase(f);
+        push_flow_stats(f, at, now_ns);  // final stats (validated inside)
+        if (at != nullptr) attribution_.erase(f);
         dp_.remove(f);
         ++counters_.reval_deleted_idle;
         break;
       case RevalDecision::Kind::kSkipClean:
-        push_flow_stats(f, now_ns);
+        push_flow_stats(f, at, now_ns);
         break;
       case RevalDecision::Kind::kSkipTags:
         // kTags (historical, §6): no stats push — the attribution pointers
         // were not revalidated and the full generation has moved. kTwoTier:
-        // attribution is keyed on the tables generation, which a MAC-only
-        // change leaves alone, so skipped flows still feed statistics.
-        if (cfg_.reval_mode == RevalidationMode::kTwoTier)
-          push_flow_stats(f, now_ns);
+        // no rule this flow matched was removed (TableDeps::stale marks
+        // every flow that won a removed rule), so its attribution is
+        // current as of this tables generation and skipped flows keep
+        // feeding statistics.
+        if (two_tier && at != nullptr) {
+          at->captured_gen = tables_gen;
+          push_flow_stats(f, at, now_ns);
+        }
         break;
-      case RevalDecision::Kind::kKeepFresh:
+      case RevalDecision::Kind::kKeepFresh: {
         // Refresh the attribution (rule pointers may have been replaced)
         // and push pending stats against the CURRENT rules.
-        f->tags = d.xr.tags;
-        refresh_attribution(f, std::move(d.xr));
-        push_flow_stats(f, now_ns);
+        RevalXlate& xr = plan_.xlate(d);
+        f->tags = xr.tags;
+        at = &refresh_attribution(f, at, std::move(xr));
+        push_flow_stats(f, at, now_ns);
         break;
+      }
       case RevalDecision::Kind::kUpdateActions: {
-        DpActions fresh = d.xr.actions;
+        RevalXlate& xr = plan_.xlate(d);
+        DpActions fresh = xr.actions;
         dp_.update_actions(f, std::move(fresh));  // RCU swap
-        f->tags = d.xr.tags;
-        refresh_attribution(f, std::move(d.xr));
-        push_flow_stats(f, now_ns);
+        f->tags = xr.tags;
+        at = &refresh_attribution(f, at, std::move(xr));
+        push_flow_stats(f, at, now_ns);
         ++counters_.reval_updated_actions;
         break;
       }
       case RevalDecision::Kind::kDeleteStale:
-        attribution_.erase(f);
+        if (at != nullptr) attribution_.erase(f);
         dp_.remove(f);  // shape changed: let traffic re-establish it
         ++counters_.reval_deleted_stale;
         break;
     }
   }
   pipeline_gen_at_last_reval_ = gen;
-  tables_gen_at_last_reval_ = tables_gen;
   ports_gen_at_last_reval_ = ports_gen;
   ct_gen_at_last_reval_ = ct_gen;
   reval_force_full_ = false;
@@ -964,18 +988,23 @@ size_t Switch::cls_max_probe_depth() const noexcept {
   return n;
 }
 
-void Switch::refresh_attribution(const MegaflowEntry* f, XlateResult&& xr) {
-  Attribution& at = attribution_[f];
-  at.rules = std::move(xr.matched_rules);
-  at.captured_gen = pipeline_.tables_generation();
-  at.ct = xr.ct;
+Switch::Attribution& Switch::refresh_attribution(const MegaflowEntry* f,
+                                                 Attribution* at,
+                                                 RevalXlate&& xr) {
+  if (at == nullptr) at = &attribution_[f];
+  at->rules = std::move(xr.matched_rules);
+  at->captured_gen = pipeline_.tables_generation();
+  at->ct = xr.ct;
+  at->tables = xr.tables;
+  return *at;
 }
 
-void Switch::adopt_attribution(const MegaflowEntry* f, XlateResult&& xr) {
+void Switch::adopt_attribution(const MegaflowEntry* f, RevalXlate&& xr) {
   Attribution& at = attribution_[f];
   at.rules = std::move(xr.matched_rules);
   at.captured_gen = pipeline_.tables_generation();
   at.ct = xr.ct;
+  at.tables = xr.tables;
   // The rebuilt rules' statistics start from zero; pre-adoption traffic
   // belongs to the previous daemon incarnation and must not be replayed.
   at.pushed_packets = f->packets();
@@ -1029,7 +1058,6 @@ void Switch::crash() {
   tenant_masks_gen_ = 0;
   reval_force_full_ = false;
   pipeline_gen_at_last_reval_ = 0;
-  tables_gen_at_last_reval_ = 0;
   ports_gen_at_last_reval_ = 0;
   ct_gen_at_last_reval_ = 0;
   last_pass_ = RevalPassStats{};
@@ -1080,8 +1108,7 @@ bool Switch::restart(uint64_t now_ns) {
   rc.per_table_lookup = m.per_table_lookup;
 
   const std::vector<MegaflowEntry*> flows = dp_.dump();
-  last_pass_ = Revalidator::plan(pipeline_, flows, now_ns, rc,
-                                 &decisions_);
+  last_pass_ = Revalidator::plan(pipeline_, flows, now_ns, rc, &plan_);
   counters_.reval_flows_examined += last_pass_.examined;
   const double sync_cycles =
       last_pass_.threads_used > 1
@@ -1091,7 +1118,7 @@ bool Switch::restart(uint64_t now_ns) {
 
   for (size_t i = 0; i < flows.size(); ++i) {
     MegaflowEntry* f = flows[i];
-    RevalDecision& d = decisions_[i];
+    const RevalDecision& d = plan_.decisions[i];
     switch (d.kind) {
       case RevalDecision::Kind::kDeleteIdle:
         // Sat idle through the blackout; no attribution exists yet.
@@ -1101,16 +1128,19 @@ bool Switch::restart(uint64_t now_ns) {
       case RevalDecision::Kind::kSkipClean:
       case RevalDecision::Kind::kSkipTags:
         break;  // unreachable: maybe_stale && !use_tags
-      case RevalDecision::Kind::kKeepFresh:
-        f->tags = d.xr.tags;
-        adopt_attribution(f, std::move(d.xr));
+      case RevalDecision::Kind::kKeepFresh: {
+        RevalXlate& xr = plan_.xlate(d);
+        f->tags = xr.tags;
+        adopt_attribution(f, std::move(xr));
         ++counters_.flows_adopted;
         break;
+      }
       case RevalDecision::Kind::kUpdateActions: {
-        DpActions fresh = d.xr.actions;
+        RevalXlate& xr = plan_.xlate(d);
+        DpActions fresh = xr.actions;
         dp_.update_actions(f, std::move(fresh));
-        f->tags = d.xr.tags;
-        adopt_attribution(f, std::move(d.xr));
+        f->tags = xr.tags;
+        adopt_attribution(f, std::move(xr));
         ++counters_.flows_repaired;
         break;
       }
@@ -1135,8 +1165,9 @@ bool Switch::restart(uint64_t now_ns) {
   counters_.reconcile_blackout_cycles += static_cast<uint64_t>(
       m.dp_check_per_flow * static_cast<double>(gate.flows_checked));
 
+  // The forced-full pass covered every flow-table change the rebuild made.
+  pipeline_.take_table_changes();
   pipeline_gen_at_last_reval_ = pipeline_.generation();
-  tables_gen_at_last_reval_ = pipeline_.tables_generation();
   ports_gen_at_last_reval_ = pipeline_.ports_generation();
   ct_gen_at_last_reval_ = pipeline_.conntrack().generation();
   reval_force_full_ = false;
@@ -1170,24 +1201,23 @@ DpCheckReport Switch::self_check() {
   return rep;
 }
 
-void Switch::push_flow_stats(const MegaflowEntry* f, uint64_t now_ns) {
-  auto it = attribution_.find(f);
-  if (it == attribution_.end()) return;
-  Attribution& at = it->second;
+void Switch::push_flow_stats(const MegaflowEntry* f, Attribution* at,
+                             uint64_t now_ns) {
+  if (at == nullptr) return;
   // Rule pointers are only safe while no flow-table change happened since
   // capture. Keying on the TABLES generation (not the full pipeline
   // generation) lets MAC-learning churn — which cannot invalidate OfRule
   // pointers — leave statistics flowing; this is what makes the kTwoTier
   // skip path able to push stats for flows it never re-translated.
-  if (at.captured_gen != pipeline_.tables_generation()) return;
+  if (at->captured_gen != pipeline_.tables_generation()) return;
   const uint64_t dp_pkts = f->packets();
   const uint64_t dp_bytes = f->bytes();
-  if (dp_pkts == at.pushed_packets) return;
-  const uint64_t dpkts = dp_pkts - at.pushed_packets;
-  const uint64_t dbytes = dp_bytes - at.pushed_bytes;
-  for (const OfRule* r : at.rules) r->add_stats(dpkts, dbytes, now_ns);
-  at.pushed_packets = dp_pkts;
-  at.pushed_bytes = dp_bytes;
+  if (dp_pkts == at->pushed_packets) return;
+  const uint64_t dpkts = dp_pkts - at->pushed_packets;
+  const uint64_t dbytes = dp_bytes - at->pushed_bytes;
+  for (const OfRule* r : at->rules) r->add_stats(dpkts, dbytes, now_ns);
+  at->pushed_packets = dp_pkts;
+  at->pushed_bytes = dp_bytes;
 }
 
 void Switch::run_maintenance(uint64_t now_ns) {

@@ -46,9 +46,9 @@ enum class RevalidationMode : uint8_t {
   kFull,     // re-examine every datapath flow (OVS >= 2.0, §6)
   kTags,     // Bloom-filter tags: only flows whose tags changed (historical;
              // skipped flows get no statistics push)
-  kTwoTier,  // §4.3: tag/generation fast path decides per flow whether the
-             // full re-translation is needed; skipped flows still push
-             // statistics (attribution survives MAC-only changes)
+  kTwoTier,  // §4.3: tags plus per-flow conntrack and flow-table marks
+             // decide per flow whether the full re-translation is needed;
+             // skipped flows still push statistics
 };
 
 // Crash/restart lifecycle (DESIGN.md §9). The kernel datapath survives a userspace crash and keeps forwarding its cached megaflows;
@@ -582,6 +582,12 @@ class Switch {
   // already been pushed to them. Refreshed whenever the entry is
   // (re-)translated; entries removed when the flow dies.
   struct Attribution {
+    // Conntrack and flow-table inputs of the translation that produced
+    // the flow's current actions: under kTwoTier, revalidate() re-translates
+    // the flow when one of them changed. First, so the per-pass marks read
+    // the start of the record.
+    TableDeps tables;
+    CtDeps ct;
     std::vector<const OfRule*> rules;
     uint64_t pushed_packets = 0;
     uint64_t pushed_bytes = 0;
@@ -590,17 +596,17 @@ class Switch {
     // be deleted by a table modification, which bumps it — MAC moves and
     // port changes leave the pointers intact).
     uint64_t captured_gen = 0;
-    // Conntrack inputs of the translation that produced the flow's current
-    // actions: revalidate() re-translates the flow when one of them changed.
-    CtDeps ct;
   };
-  void push_flow_stats(const MegaflowEntry* f, uint64_t now_ns);
-  void refresh_attribution(const MegaflowEntry* f, XlateResult&& xr);
+  // `at` is f's attribution, or nullptr when it has none.
+  void push_flow_stats(const MegaflowEntry* f, Attribution* at,
+                       uint64_t now_ns);
+  Attribution& refresh_attribution(const MegaflowEntry* f, Attribution* at,
+                                   RevalXlate&& xr);
   // Reconciliation variant: seeds the pushed counters at the flow's current
   // datapath totals, so traffic forwarded before/through the blackout is
   // not re-credited to the rebuilt OpenFlow rules (their stats restart
   // from zero; only post-adoption deltas flow).
-  void adopt_attribution(const MegaflowEntry* f, XlateResult&& xr);
+  void adopt_attribution(const MegaflowEntry* f, RevalXlate&& xr);
 
   struct RetryEntry {
     Packet pkt;
@@ -620,8 +626,10 @@ class Switch {
   std::unordered_map<uint32_t, PortStats> port_stats_;
   CpuAccounting cpu_;
   std::vector<Datapath::RxResult> results_;  // inject_batch scratch
-  std::vector<RevalDecision> decisions_;     // revalidation plan scratch
-  std::vector<uint8_t> ct_stale_;            // revalidation conntrack marks
+  RevalPlan plan_;                           // revalidation plan scratch
+  std::vector<uint8_t> stale_;               // revalidation staleness marks
+  // Revalidation: each dumped flow's attribution (nullptr: none).
+  std::vector<Attribution*> flow_at_;
   // execute_actions_batch scratch: one tx tally per action list in a burst.
   struct TxGroup {
     const DpActions* actions;
@@ -632,10 +640,8 @@ class Switch {
   RevalPassStats last_pass_;
   size_t effective_limit_;
   uint64_t pipeline_gen_at_last_reval_ = 0;
-  // Per-source generations at the last pass: the kTwoTier tag fast path is
-  // only sound for MAC-driven staleness (tags track nothing else), so it
-  // engages only while the tables and ports generations are unchanged.
-  uint64_t tables_gen_at_last_reval_ = 0;
+  // Ports generation at the last pass: a port change can alter any flow's
+  // flood set, so it turns the kTwoTier fast path off for one pass.
   uint64_t ports_gen_at_last_reval_ = 0;
   // Conntrack generation at the last pass: a separate dirtiness source so
   // the ct_reval_dirty ablation can ignore it without touching the rest.

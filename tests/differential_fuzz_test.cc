@@ -328,6 +328,34 @@ TEST(DifferentialFuzz, CorpusOverbroadDropMegaflowReplays) {
     EXPECT_FALSE(dv.has_value()) << cfg.name << ": " << dv->to_string();
   }
 }
+// Regression corpus for the flow-table marks of two-tier revalidation
+// (DESIGN.md §8): a tenant ACL matching the metadata value table 0 writes
+// must reach the megaflows of that tenant's traffic, though the packets
+// themselves carry metadata 0. Sound configurations replay it cleanly; the
+// tags ablation must still diverge on it.
+TEST(DifferentialFuzz, CorpusTenantAclRewrittenMetadataReplays) {
+  const std::string path = std::string(VSWITCH_TEST_CORPUS_DIR) +
+                           "/tenant_acl_rewritten_metadata.scenario";
+  Scenario sc;
+  ASSERT_TRUE(fuzz::load_scenario(path, &sc)) << path;
+  ASSERT_EQ(7u, sc.events.size());
+
+  DifferentialRunner runner;
+  std::optional<Divergence> d = runner.run(sc, fuzz::tags_ablation_config());
+  ASSERT_TRUE(d.has_value())
+      << "corpus scenario no longer reproduces the tags-ablation bug";
+  EXPECT_EQ("probe", d->kind) << d->to_string();
+
+  for (const DiffConfig& cfg : fuzz::standard_configs()) {
+    std::optional<Divergence> dv = runner.run(sc, cfg);
+    EXPECT_FALSE(dv.has_value()) << cfg.name << ": " << dv->to_string();
+  }
+  for (const DiffConfig& cfg : fuzz::engine_configs()) {
+    std::optional<Divergence> dv = runner.run(sc, cfg);
+    EXPECT_FALSE(dv.has_value()) << cfg.name << ": " << dv->to_string();
+  }
+}
+
 // The three minimized stateful reproducers: each must still diverge under
 // the CT ablation — with the expected probe signature — and replay cleanly
 // under every sound configuration (standard + engine matrix).

@@ -326,7 +326,7 @@ TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
   rc.idle_ns = ~uint64_t{0} / 2;
   rc.reval_per_flow = 1;
   rc.per_table_lookup = 1;
-  std::vector<RevalDecision> decisions;
+  RevalPlan plan;
   for (int pass = 0; pass < 25; ++pass) {
     if ((pass & 3) == 0) {
       // Mutate the pipeline between passes (never during plan): reroute a
@@ -338,12 +338,12 @@ TEST(RevalidatorStress, PlanUnderConcurrentTraffic) {
     }
     const std::vector<MegaflowEntry*> flows = dp.dump();
     const RevalPassStats ps =
-        Revalidator::plan(pl, flows, kMs + 1, rc, &decisions);
+        Revalidator::plan(pl, flows, kMs + 1, rc, &plan);
     EXPECT_EQ(ps.examined, flows.size());
     for (size_t i = 0; i < flows.size(); ++i) {
-      RevalDecision& d = decisions[i];
+      const RevalDecision& d = plan.decisions[i];
       if (d.kind == RevalDecision::Kind::kUpdateActions) {
-        dp.update_actions(flows[i], std::move(d.xr.actions));
+        dp.update_actions(flows[i], std::move(plan.xlate(d).actions));
       } else if (d.kind == RevalDecision::Kind::kDeleteStale) {
         dp.remove(flows[i]);
       }

@@ -405,5 +405,45 @@ TEST(StatefulPressureTest, CtPressureDefaultsOff) {
   EXPECT_EQ(sw.counters().flow_limit_backoffs, 0u);
 }
 
+// A table's miss behaviour is part of what translation reads: a drop
+// megaflow installed on a miss must not survive the table switching to
+// send misses to the controller, under every revalidation mode.
+class MissBehaviorTest : public ::testing::TestWithParam<RevalidationMode> {};
+
+TEST_P(MissBehaviorTest, MissBehaviorChangeRepairsDropMegaflow) {
+  SwitchConfig cfg;
+  cfg.reval_mode = GetParam();
+  Switch sw(cfg);
+  sw.add_port(1);
+  sw.add_port(2);
+  VirtualClock clock;
+  const Packet p = tcp_pkt(1, Ipv4(1, 1, 1, 1), Ipv4(10, 0, 0, 5), 1000, 80);
+  EXPECT_EQ(sw.inject(p, clock.now()), Datapath::Path::kMiss);
+  sw.handle_upcalls(clock.now());
+  ASSERT_EQ(sw.datapath().flow_count(), 1u);
+  EXPECT_EQ(sw.counters().to_controller, 0u);
+  clock.advance(kSecond);
+  sw.run_maintenance(clock.now());
+
+  const uint64_t gen = sw.pipeline().tables_generation();
+  sw.pipeline().table(0).set_miss_behavior(
+      FlowTable::MissBehavior::kController);
+  EXPECT_NE(sw.pipeline().tables_generation(), gen);
+  clock.advance(kSecond);
+  sw.run_maintenance(clock.now());
+
+  sw.inject(p, clock.now());
+  sw.handle_upcalls(clock.now());
+  EXPECT_EQ(sw.counters().to_controller, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, MissBehaviorTest,
+    ::testing::Values(RevalidationMode::kFull, RevalidationMode::kTwoTier),
+    [](const ::testing::TestParamInfo<RevalidationMode>& param_info) {
+      return param_info.param == RevalidationMode::kFull ? std::string("Full")
+                                                   : std::string("TwoTier");
+    });
+
 }  // namespace
 }  // namespace ovs
