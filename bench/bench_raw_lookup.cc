@@ -23,6 +23,7 @@
 #include "bench_common.h"
 #include "classifier/classifier.h"
 #include "datapath/datapath.h"
+#include "ofproto/conntrack.h"
 #include "util/cuckoo.h"
 #include "util/prefix_trie.h"
 #include "workload/table_gen.h"
@@ -74,6 +75,45 @@ void report_row(BenchReport& report, const std::string& metric, double value,
   std::string ptxt;
   for (const auto& [k, v] : params) ptxt += " " + k + "=" + v;
   std::printf("%-34s %14.0f /s%s\n", metric.c_str(), value, ptxt.c_str());
+}
+
+constexpr size_t kBurst = 32;
+
+// kBurst TCP packets to `dst`, each from its own source port: a burst with
+// no repeated microflow.
+std::vector<Packet> distinct_tcp_burst(Ipv4 dst) {
+  std::vector<Packet> burst(kBurst);
+  for (size_t j = 0; j < kBurst; ++j) {
+    FlowKey& k = burst[j].key;
+    k.set_eth_type(ethertype::kIpv4);
+    k.set_nw_proto(ipproto::kTcp);
+    k.set_nw_src(Ipv4(10, 0, 0, 2));
+    k.set_nw_dst(dst);
+    k.set_tp_src(static_cast<uint16_t>(40000 + j));
+    k.set_tp_dst(80);
+  }
+  return burst;
+}
+
+// Reports `metric` twice for a burst that hits in `dp`: one receive() per
+// packet (via=receive), and one process_batch() per burst (via=batch).
+void datapath_hit_rows(BenchReport& report, const std::string& metric,
+                       Datapath& dp, const std::vector<Packet>& burst,
+                       size_t mult) {
+  const size_t iters = 500000 * mult;
+  const double rate = measure(iters, [&](size_t i) {
+    keep(dp.receive(burst[i % kBurst], i + 1));
+  });
+  report_row(report, metric, rate, {{"via", "receive"}}, iters);
+  Datapath::RxResult results[kBurst];
+  const size_t rounds = iters / kBurst;
+  const double brate = measure(rounds, [&](size_t i) {
+    dp.process_batch(burst, iters + i + 1, results);
+    keep(results[0]);
+  });
+  report_row(report, metric, brate * kBurst,
+             {{"via", "batch"}, {"burst", std::to_string(kBurst)}},
+             rounds * kBurst);
 }
 
 int bench_main(int argc, char** argv) {
@@ -182,19 +222,16 @@ int bench_main(int argc, char** argv) {
   }
 
   // --- Datapath cache hits ---------------------------------------------------
+  // Bursts of kBurst distinct TCP microflows, as perfbench's parser hands
+  // them to the datapath: every packet is its own microflow, so each one
+  // pays its full-key hash and its own cache probe. Each row is measured
+  // per packet through receive() and per burst through process_batch().
   {
+    const std::vector<Packet> burst = distinct_tcp_burst(Ipv4(1, 1, 1, 1));
     Datapath dp;
     dp.install(MatchBuilder().ip(), DpActions().output(1), 0);
-    Packet p;
-    p.key.set_eth_type(ethertype::kIpv4);
-    p.key.set_nw_proto(ipproto::kTcp);
-    p.key.set_nw_dst(Ipv4(1, 1, 1, 1));
-    p.key.set_tp_dst(80);
-    dp.receive(p, 0);  // warm: next receive is an EMC hit
-    const size_t iters = 500000 * mult;
-    const double rate =
-        measure(iters, [&](size_t i) { keep(dp.receive(p, i + 1)); });
-    report_row(report, "microflow_cache_hits", rate, {}, iters);
+    for (const Packet& p : burst) dp.receive(p, 0);  // warm: EMC hits next
+    datapath_hit_rows(report, "microflow_cache_hits", dp, burst, mult);
   }
   {
     DatapathConfig cfg;
@@ -204,15 +241,8 @@ int bench_main(int argc, char** argv) {
       dp.install(MatchBuilder().ip().nw_dst_prefix(
                      Ipv4(static_cast<uint8_t>(20 + i), 0, 0, 0), 8 + i),
                  DpActions().output(1), 0);
-    Packet p;
-    p.key.set_eth_type(ethertype::kIpv4);
-    p.key.set_nw_proto(ipproto::kTcp);
-    p.key.set_nw_dst(Ipv4(24, 0, 0, 1));
-    p.key.set_tp_dst(80);
-    const size_t iters = 500000 * mult;
-    const double rate =
-        measure(iters, [&](size_t i) { keep(dp.receive(p, i + 1)); });
-    report_row(report, "megaflow_cache_hits", rate, {}, iters);
+    datapath_hit_rows(report, "megaflow_cache_hits", dp,
+                      distinct_tcp_burst(Ipv4(24, 0, 0, 1)), mult);
   }
 
   // --- Prefix trie -----------------------------------------------------------
@@ -298,14 +328,35 @@ int bench_main(int argc, char** argv) {
                reads.load());
   }
 
-  // --- Full-key hash ---------------------------------------------------------
+  // --- Flow-key hashes -------------------------------------------------------
+  // Hashes of kBurst distinct keys per round, the way process_batch hashes a
+  // burst (the hashes are independent, so they overlap) and a ct action
+  // hashes its connection key.
   {
     Rng rng(5);
-    FlowKey k;
-    for (auto& w : k.w) w = rng.next();
-    const size_t iters = 2000000 * mult;
-    const double rate = measure(iters, [&](size_t) { keep(k.hash()); });
-    report_row(report, "full_key_hashes", rate, {}, iters);
+    std::vector<FlowKey> keys(kBurst);
+    for (FlowKey& k : keys)
+      for (auto& w : k.w) w = rng.next();
+    const size_t rounds = 2000000 * mult / kBurst;
+    const double rate = measure(rounds, [&](size_t) {
+      uint64_t h[kBurst];
+      for (size_t j = 0; j < kBurst; ++j) h[j] = keys[j].hash();
+      keep(h);
+    });
+    report_row(report, "full_key_hashes", rate * kBurst,
+               {{"burst", std::to_string(kBurst)}}, rounds * kBurst);
+  }
+  {
+    const std::vector<Packet> burst = distinct_tcp_burst(Ipv4(10, 0, 0, 1));
+    const size_t rounds = 2000000 * mult / kBurst;
+    const double rate = measure(rounds, [&](size_t) {
+      uint64_t h[kBurst];
+      for (size_t j = 0; j < kBurst; ++j)
+        h[j] = ConnTracker::conn_key(burst[j].key, 1).hash;
+      keep(h);
+    });
+    report_row(report, "conn_key_hashes", rate * kBurst,
+               {{"burst", std::to_string(kBurst)}}, rounds * kBurst);
   }
 
   // --- Full NVP-style translation (userspace miss cost) ----------------------

@@ -20,6 +20,10 @@ ConnTracker::ConnKey ConnTracker::conn_key(const FlowKey& k,
     ck.lo_port = b_port;
     ck.hi_port = a_port;
   }
+  uint64_t h = hash_mix64(ck.lo_addr);
+  h = hash_add64(h, ck.hi_addr);
+  h = hash_add64(h, (uint64_t{ck.lo_port} << 32) | ck.hi_port);
+  ck.hash = hash_add64(h, (uint64_t{zone} << 8) | ck.proto);
   return ck;
 }
 
@@ -28,15 +32,15 @@ bool ConnTracker::is_lo_direction(const FlowKey& k) noexcept {
   return a < b || (a == b && k.tp_src() <= k.tp_dst());
 }
 
-const ConnTracker::Entry* ConnTracker::find(const FlowKey& key,
-                                            uint16_t zone) const noexcept {
-  auto it = table_.find(conn_key(key, zone));
+const ConnTracker::Entry* ConnTracker::find(
+    const ConnKey& ck) const noexcept {
+  auto it = table_.find(ck);
   return it == table_.end() ? nullptr : &it->second;
 }
 
 uint8_t ConnTracker::lookup(const FlowKey& key,
-                            uint16_t zone) const noexcept {
-  const Entry* e = find(key, zone);
+                            const ConnKey& ck) const noexcept {
+  const Entry* e = find(ck);
   if (e == nullptr) return ct_state::kNew;
   uint8_t s = ct_state::kEstablished;
   if (e->symmetric)
@@ -47,8 +51,8 @@ uint8_t ConnTracker::lookup(const FlowKey& key,
 }
 
 std::optional<ConnTracker::NatRewrite> ConnTracker::nat_lookup(
-    const FlowKey& key, uint16_t zone) const noexcept {
-  const Entry* e = find(key, zone);
+    const FlowKey& key, const ConnKey& ck) const noexcept {
+  const Entry* e = find(ck);
   if (e == nullptr || !e->has_nat) return std::nullopt;
   // Symmetric connections have no reply direction; their binding applies as
   // if every packet were forward.
@@ -135,9 +139,8 @@ size_t ConnTracker::remove_conn(const ConnKey& ck) {
   return n;
 }
 
-bool ConnTracker::commit(const FlowKey& key, uint16_t zone,
+bool ConnTracker::commit(const FlowKey& key, const ConnKey& ck,
                          uint64_t now_ns) {
-  const ConnKey ck = conn_key(key, zone);
   auto it = table_.find(ck);
   if (it != table_.end()) {
     // Idempotent refresh: timestamp and LRU position only; the table's
@@ -165,13 +168,12 @@ bool ConnTracker::commit(const FlowKey& key, uint16_t zone,
   return true;
 }
 
-bool ConnTracker::commit_nat(const FlowKey& key, const CtNatSpec& nat,
-                             uint16_t zone, uint64_t now_ns) {
-  const ConnKey ck = conn_key(key, zone);
+bool ConnTracker::commit_nat(const FlowKey& key, const ConnKey& ck,
+                             const CtNatSpec& nat, uint64_t now_ns) {
   if (table_.find(ck) != table_.end()) {
     // Existing connection: refresh only. Bindings are immutable once
     // committed (rebinding mid-connection would break replies in flight).
-    return commit(key, zone, now_ns);
+    return commit(key, ck, now_ns);
   }
   // The post-NAT tuple, as the rewritten forward packet would carry it.
   FlowKey rewritten = key;
@@ -182,13 +184,13 @@ bool ConnTracker::commit_nat(const FlowKey& key, const CtNatSpec& nat,
     rewritten.set_nw_dst(Ipv4(nat.addr));
     rewritten.set_tp_dst(nat.port);
   }
-  const ConnKey rk = conn_key(rewritten, zone);
+  const ConnKey rk = conn_key(rewritten, ck.zone);
   if (rk == ck) {
     // No-op rewrite: a plain commit tracks it fine.
-    return commit(key, zone, now_ns);
+    return commit(key, ck, now_ns);
   }
 
-  const bool fresh = commit(key, zone, now_ns);
+  const bool fresh = commit(key, ck, now_ns);
   if (!fresh) return false;
   Entry& prim = table_.at(ck);
   prim.has_nat = true;
@@ -226,8 +228,8 @@ bool ConnTracker::commit_nat(const FlowKey& key, const CtNatSpec& nat,
   return true;
 }
 
-bool ConnTracker::remove(const FlowKey& key, uint16_t zone) {
-  const size_t n = remove_conn(conn_key(key, zone));
+bool ConnTracker::remove(const ConnKey& ck) {
+  const size_t n = remove_conn(ck);
   if (n == 0) return false;
   stats_.removed += n;
   ++generation_;

@@ -81,11 +81,30 @@ class ConnTracker {
   ConnTracker() = default;
   explicit ConnTracker(const ConnTrackerConfig& cfg) : cfg_(cfg) {}
 
+  // A packet's direction-normalized (5-tuple, zone) with its hash, built
+  // once by conn_key(). Endpoints are sorted so both directions map to one
+  // key. A ct action builds one and hands it to each call below that takes
+  // a ConnKey, together with the FlowKey it was built from (which carries
+  // the direction), so the tuple is normalized and hashed once per action.
+  struct ConnKey {
+    uint64_t hash = 0;  // first, so unequal keys differ at the first compare
+    uint64_t lo_addr = 0, hi_addr = 0;
+    uint32_t lo_port = 0, hi_port = 0;
+    uint8_t proto = 0;
+    uint16_t zone = 0;
+
+    bool operator==(const ConnKey&) const noexcept = default;
+  };
+  static ConnKey conn_key(const FlowKey& key, uint16_t zone) noexcept;
+
   // Connection state of the packet's 5-tuple (direction-normalized). Const
   // and time-free by design: state transitions happen only via commit /
   // remove / expire_idle, so two trackers fed the same mutation sequence
   // answer identically regardless of when lookups happened in between.
-  uint8_t lookup(const FlowKey& key, uint16_t zone = 0) const noexcept;
+  uint8_t lookup(const FlowKey& key, const ConnKey& ck) const noexcept;
+  uint8_t lookup(const FlowKey& key, uint16_t zone = 0) const noexcept {
+    return lookup(key, conn_key(key, zone));
+  }
 
   // The NAT rewrite this packet should receive, if its connection carries a
   // binding applying in the packet's direction: forward packets get the
@@ -96,14 +115,21 @@ class ConnTracker {
     uint16_t port = 0;
   };
   std::optional<NatRewrite> nat_lookup(const FlowKey& key,
-                                       uint16_t zone = 0) const noexcept;
+                                       const ConnKey& ck) const noexcept;
+  std::optional<NatRewrite> nat_lookup(const FlowKey& key,
+                                       uint16_t zone = 0) const noexcept {
+    return nat_lookup(key, conn_key(key, zone));
+  }
 
   // Commits the connection (the `ct(commit)` action or an explicit
   // controller write). Inserting a NEW connection bumps generation() and
   // may evict (zone cap first, then global cap); re-committing an existing
   // one only refreshes last-seen — idempotent, generation unchanged.
   // Returns true when a new entry was created.
-  bool commit(const FlowKey& key, uint16_t zone = 0, uint64_t now_ns = 0);
+  bool commit(const FlowKey& key, const ConnKey& ck, uint64_t now_ns);
+  bool commit(const FlowKey& key, uint16_t zone = 0, uint64_t now_ns = 0) {
+    return commit(key, conn_key(key, zone), now_ns);
+  }
 
   // Commit with a NAT binding: stores the forward rewrite on the primary
   // entry and stamps a reverse-direction entry keyed on the post-NAT tuple
@@ -111,12 +137,19 @@ class ConnTracker {
   // existing distinct connection the reverse entry is skipped (first wins,
   // deterministically). Re-commits refresh timestamps but never replace an
   // existing binding.
+  bool commit_nat(const FlowKey& key, const ConnKey& ck, const CtNatSpec& nat,
+                  uint64_t now_ns);
   bool commit_nat(const FlowKey& key, const CtNatSpec& nat,
-                  uint16_t zone = 0, uint64_t now_ns = 0);
+                  uint16_t zone = 0, uint64_t now_ns = 0) {
+    return commit_nat(key, conn_key(key, zone), nat, now_ns);
+  }
 
   // Tears down the connection (FIN/RST or controller delete), including its
   // paired NAT reverse entry.
-  bool remove(const FlowKey& key, uint16_t zone = 0);
+  bool remove(const ConnKey& ck);
+  bool remove(const FlowKey& key, uint16_t zone = 0) {
+    return remove(conn_key(key, zone));
+  }
 
   // Removes every entry idle past the timeout as of now_ns; returns the
   // number removed. No-op (0) when idle_timeout_ns is 0.
@@ -138,15 +171,10 @@ class ConnTracker {
   // flush_stamp() instead of stamping every entry.
   uint64_t stamp() const noexcept { return stamp_; }
   uint64_t flush_stamp() const noexcept { return flush_stamp_; }
-  // Connection hash -> latest stamp, for every connection stamped since the
+  // ConnKey::hash -> latest stamp, for every connection stamped since the
   // previous take_changes(); drains the record.
   using Changes = std::unordered_map<uint64_t, uint64_t>;
   Changes take_changes() { return std::exchange(changes_, {}); }
-  // The key stamps are recorded under: the hash of the direction-normalized
-  // (5-tuple, zone) that lookup(key, zone) consults.
-  static uint64_t conn_hash(const FlowKey& key, uint16_t zone) noexcept {
-    return conn_key(key, zone).hash();
-  }
   const ConnTrackerConfig& config() const noexcept { return cfg_; }
 
   struct Stats {
@@ -161,23 +189,10 @@ class ConnTracker {
   const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct ConnKey {
-    uint64_t lo_addr = 0, hi_addr = 0;  // normalized endpoint order
-    uint32_t lo_port = 0, hi_port = 0;
-    uint8_t proto = 0;
-    uint16_t zone = 0;
-
-    bool operator==(const ConnKey&) const noexcept = default;
-    uint64_t hash() const noexcept {
-      uint64_t h = hash_mix64(lo_addr);
-      h = hash_add64(h, hi_addr);
-      h = hash_add64(h, (uint64_t{lo_port} << 32) | hi_port);
-      return hash_add64(h, (uint64_t{zone} << 8) | proto);
-    }
-  };
+  // Reuses the hash conn_key() stored.
   struct ConnKeyHash {
     size_t operator()(const ConnKey& k) const noexcept {
-      return static_cast<size_t>(k.hash());
+      return static_cast<size_t>(k.hash);
     }
   };
 
@@ -193,12 +208,10 @@ class ConnTracker {
     std::list<ConnKey>::iterator lru;  // position in the zone's LRU list
   };
 
-  // Endpoint (addr, port) pairs sorted so both directions map to one key.
-  static ConnKey conn_key(const FlowKey& k, uint16_t zone) noexcept;
   // True when (src, sport) is the canonically-low endpoint.
   static bool is_lo_direction(const FlowKey& k) noexcept;
 
-  const Entry* find(const FlowKey& key, uint16_t zone) const noexcept;
+  const Entry* find(const ConnKey& ck) const noexcept;
   // Inserts a fresh entry after making room; returns it (never fails).
   Entry& insert(const ConnKey& ck, uint64_t now_ns);
   // Removes the connection under ck plus its NAT pair; returns entries
@@ -206,7 +219,7 @@ class ConnTracker {
   size_t remove_conn(const ConnKey& ck);
   void make_room(uint16_t zone);
   void evict_lru_of_zone(uint16_t zone, bool zone_cap);
-  void note_change(const ConnKey& ck) { changes_[ck.hash()] = ++stamp_; }
+  void note_change(const ConnKey& ck) { changes_[ck.hash] = ++stamp_; }
 
   ConnTrackerConfig cfg_;
   std::unordered_map<ConnKey, Entry, ConnKeyHash> table_;
@@ -221,7 +234,7 @@ class ConnTracker {
 };
 
 // The conntrack inputs of one translation: the tracker's stamp() when it
-// started and the conn_hash() of every tuple it looked up. Two inline slots
+// started and the ConnKey::hash of every tuple it looked up. Two inline slots
 // hold a lookup plus one post-NAT lookup without a heap allocation; a third
 // distinct connection sets `overflow`, after which any conntrack change
 // counts as one of its inputs.

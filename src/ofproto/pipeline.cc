@@ -208,9 +208,11 @@ void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct, int depth) {
   // lookup-only ct rules keep megaflows flag-wildcarded.
   if (ct.commit && is_tcp) ctx.consult_field(FieldId::kTcpFlags);
 
-  // The lookup below and the NAT lookup share this key: one dependency.
-  ctx.ct.add(ConnTracker::conn_hash(ctx.key, ct.zone));
-  const uint8_t state = ct_.lookup(ctx.key, ct.zone);
+  // The lookup, commit and NAT lookup below share this key, built and
+  // hashed once: one dependency.
+  const ConnTracker::ConnKey ck = ConnTracker::conn_key(ctx.key, ct.zone);
+  ctx.ct.add(ck.hash);
+  const uint8_t state = ct_.lookup(ctx.key, ck);
   const bool teardown =
       ct.commit && is_tcp &&
       (ctx.key.tcp_flags() & (tcpflags::kFin | tcpflags::kRst)) != 0 &&
@@ -218,15 +220,15 @@ void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct, int depth) {
 
   if (ct.commit && ctx.side_effects) {
     if (teardown) {
-      ct_.remove(ctx.key, ct.zone);
+      ct_.remove(ck);
     } else if (ct.nat == OfCt::Nat::kSrc || ct.nat == OfCt::Nat::kDst) {
       CtNatSpec spec;
       spec.src = ct.nat == OfCt::Nat::kSrc;
       spec.addr = ct.nat_addr;
       spec.port = ct.nat_port;
-      ct_.commit_nat(ctx.key, spec, ct.zone, ctx.now_ns);
+      ct_.commit_nat(ctx.key, ck, spec, ctx.now_ns);
     } else {
-      ct_.commit(ctx.key, ct.zone, ctx.now_ns);
+      ct_.commit(ctx.key, ck, ctx.now_ns);
     }
   }
 
@@ -235,7 +237,7 @@ void Pipeline::do_ct(XlateCtx& ctx, const OfCt& ct, int depth) {
   // controller writes — and the rewrite is a set-field like any other, so
   // rewritten bits stop contributing to the megaflow mask.
   if (ct.nat != OfCt::Nat::kNone && !teardown) {
-    if (auto rw = ct_.nat_lookup(ctx.key, ct.zone)) {
+    if (auto rw = ct_.nat_lookup(ctx.key, ck)) {
       const FieldId addr_f = rw->to_src ? FieldId::kNwSrc : FieldId::kNwDst;
       const FieldId port_f = rw->to_src ? FieldId::kTpSrc : FieldId::kTpDst;
       ctx.set_field(addr_f, rw->addr);

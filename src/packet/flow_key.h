@@ -132,6 +132,17 @@ struct FlowWords {
   }
 };
 
+// FlowKey::hash's constants. The per-position seeds are XORed into each
+// word before its multiply, so equal values in different words contribute
+// differently.
+inline constexpr std::array<uint64_t, kFlowWords> kFlowHashSeeds = [] {
+  std::array<uint64_t, kFlowWords> s{};
+  for (size_t i = 0; i < kFlowWords; ++i) s[i] = hash_mix64(0x666c6f77 + i);
+  return s;
+}();
+inline constexpr uint64_t kFlowHashMul = 0xa0761d6478bd642fULL;
+inline constexpr uint64_t kFlowHashFinalMul = 0xe7037ed1a0b428dbULL;
+
 // A concrete packet header tuple.
 struct FlowKey : FlowWords {
   // Typed accessors keep call sites readable; they all compile down to
@@ -228,9 +239,21 @@ struct FlowKey : FlowWords {
     set(FieldId::kTcpFlags, v);
   }
 
-  // Full-key hash (used by the microflow cache).
+  // Full-key hash: the microflow cache's key and the burst grouping's
+  // prefilter. Every word gets its own folded multiply after its seed; the
+  // products do not depend on each other, so they issue back to back and
+  // only three lanes of additions are carried from word to word. One more
+  // folded multiply avalanches the sum. A word equal to its seed adds zero
+  // and leaves every other word's term intact, so no input is absorbing.
   uint64_t hash(uint64_t basis = 0) const noexcept {
-    return hash_words(w.data(), kFlowWords, basis);
+    static_assert(kFlowWords % 3 == 0);
+    uint64_t a = basis, b = 0, c = 0;
+    for (size_t i = 0; i < kFlowWords; i += 3) {
+      a += hash_fold_mul(w[i] ^ kFlowHashSeeds[i], kFlowHashMul);
+      b += hash_fold_mul(w[i + 1] ^ kFlowHashSeeds[i + 1], kFlowHashMul);
+      c += hash_fold_mul(w[i + 2] ^ kFlowHashSeeds[i + 2], kFlowHashMul);
+    }
+    return hash_fold_mul(a + b + c, kFlowHashFinalMul);
   }
 
   std::string to_string() const;

@@ -6,6 +6,14 @@
 // the hash of stage k by extending the hash of stage k-1 rather than
 // re-hashing from scratch ("hashes could be computed incrementally from one
 // stage to the next").
+//
+// Speed comes from the serial dependency chain, not the multiply count: a
+// 64x64->128 multiply issues every cycle but takes 3-4 cycles to finish. So
+// hash_add64 puts exactly one folded multiply on its running state, and
+// FlowKey::hash (packet/flow_key.h) puts none: its per-word multiplies are
+// independent and only their sum is carried. hash_mix64 keeps its two
+// serial multiplies; it seeds the RNG and places cuckoo buckets, so its
+// values must not move.
 #pragma once
 
 #include <cstddef>
@@ -21,9 +29,26 @@ constexpr uint64_t hash_mix64(uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-// Extends running hash `basis` with one 64-bit word.
+// 64x64->128-bit product of `a` and `b`, its two halves XORed together. The
+// low half sees only the operands' low bits; folding in the high half lets
+// every output bit see all of them. Callers pass a constant `b`, so no data
+// word can zero the product and hide another word, as a product of two data
+// words would.
+constexpr uint64_t hash_fold_mul(uint64_t a, uint64_t b) noexcept {
+  __extension__ using Uint128 = unsigned __int128;
+  const Uint128 p = static_cast<Uint128>(a) * b;
+  return static_cast<uint64_t>(p) ^ static_cast<uint64_t>(p >> 64);
+}
+
+// hash_add64's constants; the hash tests feed them back in as input words.
+inline constexpr uint64_t kHashAddSeed = 0x243f6a8885a308d3ULL;
+inline constexpr uint64_t kHashAddMul = 0x5851f42d4c957f2dULL;
+
+// Extends running hash `basis` with one 64-bit word: one folded multiply on
+// the chain (the aHash fallback step). The seed keeps an all-zero input from
+// hashing to zero.
 constexpr uint64_t hash_add64(uint64_t basis, uint64_t word) noexcept {
-  return hash_mix64(basis ^ (word * 0xff51afd7ed558ccdULL));
+  return hash_fold_mul(basis ^ word ^ kHashAddSeed, kHashAddMul);
 }
 
 // Hashes `n` words starting at `words`, extending `basis`. This is the

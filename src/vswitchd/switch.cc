@@ -624,13 +624,14 @@ void Switch::revalidate(uint64_t now_ns) {
     const RevalDecision& d = plan_.decisions[i];
     switch (d.kind) {
       case RevalDecision::Kind::kDeleteIdle:
-        push_flow_stats(f, at, now_ns);  // final stats (validated inside)
+        // Final stats (validated inside).
+        push_flow_stats(f, at, now_ns, tables_gen);
         if (at != nullptr) attribution_.erase(f);
         dp_.remove(f);
         ++counters_.reval_deleted_idle;
         break;
       case RevalDecision::Kind::kSkipClean:
-        push_flow_stats(f, at, now_ns);
+        push_flow_stats(f, at, now_ns, tables_gen);
         break;
       case RevalDecision::Kind::kSkipTags:
         // kTags (historical, §6): no stats push — the attribution pointers
@@ -641,7 +642,7 @@ void Switch::revalidate(uint64_t now_ns) {
         // feeding statistics.
         if (two_tier && at != nullptr) {
           at->captured_gen = tables_gen;
-          push_flow_stats(f, at, now_ns);
+          push_flow_stats(f, at, now_ns, tables_gen);
         }
         break;
       case RevalDecision::Kind::kKeepFresh: {
@@ -649,8 +650,8 @@ void Switch::revalidate(uint64_t now_ns) {
         // and push pending stats against the CURRENT rules.
         RevalXlate& xr = plan_.xlate(d);
         f->tags = xr.tags;
-        at = &refresh_attribution(f, at, std::move(xr));
-        push_flow_stats(f, at, now_ns);
+        at = &refresh_attribution(f, at, std::move(xr), tables_gen);
+        push_flow_stats(f, at, now_ns, tables_gen);
         break;
       }
       case RevalDecision::Kind::kUpdateActions: {
@@ -658,8 +659,8 @@ void Switch::revalidate(uint64_t now_ns) {
         DpActions fresh = xr.actions;
         dp_.update_actions(f, std::move(fresh));  // RCU swap
         f->tags = xr.tags;
-        at = &refresh_attribution(f, at, std::move(xr));
-        push_flow_stats(f, at, now_ns);
+        at = &refresh_attribution(f, at, std::move(xr), tables_gen);
+        push_flow_stats(f, at, now_ns, tables_gen);
         ++counters_.reval_updated_actions;
         break;
       }
@@ -990,10 +991,11 @@ size_t Switch::cls_max_probe_depth() const noexcept {
 
 Switch::Attribution& Switch::refresh_attribution(const MegaflowEntry* f,
                                                  Attribution* at,
-                                                 RevalXlate&& xr) {
+                                                 RevalXlate&& xr,
+                                                 uint64_t tables_gen) {
   if (at == nullptr) at = &attribution_[f];
   at->rules = std::move(xr.matched_rules);
-  at->captured_gen = pipeline_.tables_generation();
+  at->captured_gen = tables_gen;
   at->ct = xr.ct;
   at->tables = xr.tables;
   return *at;
@@ -1202,14 +1204,14 @@ DpCheckReport Switch::self_check() {
 }
 
 void Switch::push_flow_stats(const MegaflowEntry* f, Attribution* at,
-                             uint64_t now_ns) {
+                             uint64_t now_ns, uint64_t tables_gen) {
   if (at == nullptr) return;
   // Rule pointers are only safe while no flow-table change happened since
   // capture. Keying on the TABLES generation (not the full pipeline
   // generation) lets MAC-learning churn — which cannot invalidate OfRule
   // pointers — leave statistics flowing; this is what makes the kTwoTier
   // skip path able to push stats for flows it never re-translated.
-  if (at->captured_gen != pipeline_.tables_generation()) return;
+  if (at->captured_gen != tables_gen) return;
   const uint64_t dp_pkts = f->packets();
   const uint64_t dp_bytes = f->bytes();
   if (dp_pkts == at->pushed_packets) return;

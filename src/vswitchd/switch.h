@@ -597,11 +597,12 @@ class Switch {
     // port changes leave the pointers intact).
     uint64_t captured_gen = 0;
   };
-  // `at` is f's attribution, or nullptr when it has none.
+  // `at` is f's attribution, or nullptr when it has none. `tables_gen` is
+  // pipeline_.tables_generation(), read once per revalidation pass.
   void push_flow_stats(const MegaflowEntry* f, Attribution* at,
-                       uint64_t now_ns);
+                       uint64_t now_ns, uint64_t tables_gen);
   Attribution& refresh_attribution(const MegaflowEntry* f, Attribution* at,
-                                   RevalXlate&& xr);
+                                   RevalXlate&& xr, uint64_t tables_gen);
   // Reconciliation variant: seeds the pushed counters at the flow's current
   // datapath totals, so traffic forwarded before/through the blackout is
   // not re-credited to the rebuilt OpenFlow rules (their stats restart

@@ -407,7 +407,7 @@ TEST(ConnTrackerTest, FlushDropsEverythingAndBumpsGeneration) {
 // The stamp take_changes() reports for `key`'s connection, or 0.
 uint64_t stamp_of(const ConnTracker::Changes& ch, const FlowKey& key,
                   uint16_t zone = 0) {
-  auto it = ch.find(ConnTracker::conn_hash(key, zone));
+  auto it = ch.find(ConnTracker::conn_key(key, zone).hash);
   return it == ch.end() ? 0 : it->second;
 }
 
@@ -427,10 +427,10 @@ TEST(ConnTrackerStampTest, NewCommitStampsItsConnection) {
   rev.set_nw_dst(conn_n(1).nw_src());
   rev.set_tp_src(conn_n(1).tp_dst());
   rev.set_tp_dst(conn_n(1).tp_src());
-  EXPECT_EQ(ConnTracker::conn_hash(rev, 4),
-            ConnTracker::conn_hash(conn_n(1), 4));
-  EXPECT_NE(ConnTracker::conn_hash(conn_n(1), 5),
-            ConnTracker::conn_hash(conn_n(1), 4));
+  EXPECT_EQ(ConnTracker::conn_key(rev, 4).hash,
+            ConnTracker::conn_key(conn_n(1), 4).hash);
+  EXPECT_NE(ConnTracker::conn_key(conn_n(1), 5).hash,
+            ConnTracker::conn_key(conn_n(1), 4).hash);
 }
 
 TEST(ConnTrackerStampTest, RefreshStampsNothing) {
@@ -553,9 +553,9 @@ TEST(CtDepsTest, StaleExactlyWhenAConsultedConnectionChangedLater) {
   ct.take_changes();
   CtDeps d;
   d.stamp = ct.stamp();
-  d.add(ConnTracker::conn_hash(conn_n(1), 0));
-  d.add(ConnTracker::conn_hash(conn_n(1), 0));  // deduplicated
-  d.add(ConnTracker::conn_hash(conn_n(2), 0));
+  d.add(ConnTracker::conn_key(conn_n(1), 0).hash);
+  d.add(ConnTracker::conn_key(conn_n(1), 0).hash);  // deduplicated
+  d.add(ConnTracker::conn_key(conn_n(2), 0).hash);
   EXPECT_EQ(d.n, 2u);
   EXPECT_FALSE(d.overflow);
 
@@ -570,7 +570,7 @@ TEST(CtDepsTest, StaleExactlyWhenAConsultedConnectionChangedLater) {
   ct.commit(conn_n(1));
   CtDeps later;
   later.stamp = ct.stamp();
-  later.add(ConnTracker::conn_hash(conn_n(1), 0));
+  later.add(ConnTracker::conn_key(conn_n(1), 0).hash);
   EXPECT_FALSE(later.stale(ct, ct.take_changes()));
   // A flush after the stamp makes every translation stale.
   ct.flush();
@@ -584,7 +584,8 @@ TEST(CtDepsTest, OverflowCountsAnyChange) {
   ConnTracker ct;
   CtDeps d;
   d.stamp = ct.stamp();
-  for (uint32_t n = 1; n <= 3; ++n) d.add(ConnTracker::conn_hash(conn_n(n), 0));
+  for (uint32_t n = 1; n <= 3; ++n)
+    d.add(ConnTracker::conn_key(conn_n(n), 0).hash);
   EXPECT_EQ(d.n, CtDeps::kInline);
   EXPECT_TRUE(d.overflow);
   EXPECT_FALSE(d.stale(ct, {}));
